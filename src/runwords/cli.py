@@ -47,12 +47,8 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _table1_grid(k: int, n_max: int) -> list[list[int]]:
-    return verify.table1_cells(k, n_max)
-
-
 def cmd_table1(args) -> int:
-    grid = _table1_grid(args.k, args.n_max)
+    grid = verify.table1_cells(args.k, args.n_max)
     ns = list(range(1, args.n_max + 1))
     header = ["m\\n"] + [str(n) for n in ns]
     widths = [max(len(header[0]), 1)] + [
@@ -257,10 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Least value of the int options that the library does not check itself.
+OPTION_MINIMUM = {"digits": 0, "n_max": 1}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, least in OPTION_MINIMUM.items():
+            value = getattr(args, dest, least)
+            if value < least:
+                raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,13 +9,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# ``type(...) is int`` refuses bool, which isinstance would let through.
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
+    if type(k) is not int or k < 2:
         raise ValueError(f"run length k must be an integer >= 2, got {k!r}")
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"word length n must be an integer >= 0, got {n!r}")
 
 
@@ -121,11 +122,6 @@ def popularity(n: int, k: int) -> int:
     return sum(sums)
 
 
-def popularity_from_distribution(n: int, k: int) -> int:
-    """Same quantity via the ones distribution; used as a cross-check."""
-    return ones_distribution(n, k).total_ones
-
-
 def alpha(n: int, k: int) -> Fraction:
     """Expected value of a random bit in a random length-n avoider.
 
@@ -133,6 +129,7 @@ def alpha(n: int, k: int) -> Fraction:
     at n = 0 (0/0).
     """
     _check_k(k)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"expected bit value undefined at n={n!r}; need n >= 1")
+    _check_n(n)
+    if n == 0:
+        raise ValueError("expected bit value undefined at n=0; need n >= 1")
     return Fraction(popularity(n, k), n * count_words(n, k))

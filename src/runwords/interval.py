@@ -13,6 +13,9 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
+# Most attempts of a refine loop, each at twice the digits of the one before.
+MAX_ROUNDS = 12
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -42,9 +45,6 @@ class Interval:
         if isinstance(x, Interval):
             return self.lo <= x.lo and x.hi <= self.hi
         return self.lo <= Fraction(x) <= self.hi
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
@@ -101,12 +101,6 @@ class Interval:
     def reciprocal(self) -> "Interval":
         return 1 / self
 
-    def straddles_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def __abs__(self) -> "Interval":
         if self.lo >= 0:
             return self
@@ -143,17 +137,21 @@ def certified_decimal(enclosure: Interval, digits: int) -> str | None:
     return lo if lo == hi else None
 
 
-def render_decimal(compute, digits: int, max_escalations: int = 12) -> str:
+def _refine(attempt, work: int):
+    """First result of ``attempt(work)`` that is not None, doubling ``work`` each round."""
+    for _ in range(MAX_ROUNDS):
+        result = attempt(work)
+        if result is not None:
+            return result
+        work *= 2
+    raise RuntimeError(f"no certified result after {MAX_ROUNDS} rounds of refinement")
+
+
+def render_decimal(compute, digits: int) -> str:
     """Certified decimal of a refinable quantity.
 
     ``compute(work_digits)`` must return an enclosure of width below
     10^-work_digits.  If the enclosure straddles a rounding boundary the
     precision is escalated rather than printing an uncertain digit.
     """
-    work = digits + 2
-    for _ in range(max_escalations):
-        rendered = certified_decimal(compute(work), digits)
-        if rendered is not None:
-            return rendered
-        work *= 2
-    raise RuntimeError(f"could not certify {digits} decimals after escalation")
+    return _refine(lambda work: certified_decimal(compute(work), digits), digits + 2)

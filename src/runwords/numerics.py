@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import mpmath
 
-from .interval import Interval
+from .core import _check_k, _check_n
+from .interval import Interval, _refine
 from .poly import IntPoly, fibonacci_poly, pk_fraction, reciprocal_fibonacci_poly, tk_fraction
 
 GUARD_DIGITS = 10
-MAX_ESCALATIONS = 10
 
 
 class RootFindingError(RuntimeError):
@@ -25,9 +25,8 @@ class RootFindingError(RuntimeError):
 
 
 def _check_params(k: int, precision_digits: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"need k >= 2, got {k!r}")
-    if not isinstance(precision_digits, int) or precision_digits < 1:
+    _check_k(k)
+    if type(precision_digits) is not int or precision_digits < 1:  # bool is refused too
         raise ValueError(f"need precision_digits >= 1, got {precision_digits!r}")
 
 
@@ -66,70 +65,36 @@ def phi(k: int, precision_digits: int = 15) -> Interval:
 
 
 def inverse_phi(k: int, precision_digits: int = 15) -> Interval:
-    """Enclosure of 1/phi_k, the unique root of g_k in (0, 1)."""
-    _check_params(k, precision_digits)
-    tol = Fraction(1, 10**precision_digits)
-    work = precision_digits + 2
-    for _ in range(MAX_ESCALATIONS + 1):
-        enclosure = phi(k, work).reciprocal()
-        if enclosure.width < tol:
-            return enclosure
-        work *= 2
-    raise RuntimeError(f"inverse_phi({k}) did not reach width {tol}")
+    """Enclosure of 1/phi_k, the unique root of g_k in (0, 1).
 
-
-def _limit_numerator(k: int) -> IntPoly:
-    # k x^k - k x^(k-1) - x^k + 1
-    coeffs = [0] * (k + 1)
-    coeffs[0] = 1
-    coeffs[k - 1] = -k
-    coeffs[k] = k - 1
-    return IntPoly(coeffs)
-
-
-def _limit_denominator(k: int) -> IntPoly:
-    # k x^k - k x^(k-1) + x^(2k) - 3 x^k + 2
-    coeffs = [0] * (2 * k + 1)
-    coeffs[0] = 2
-    coeffs[k - 1] = -k
-    coeffs[k] = k - 3
-    coeffs[2 * k] = 1
-    return IntPoly(coeffs)
+    No refinement is needed: x -> 1/x maps an interval [lo, hi] inside
+    [1, 2] of width w to one of width w / (lo * hi) <= w.
+    """
+    return phi(k, precision_digits).reciprocal()
 
 
 def limit_value(k: int, precision_digits: int = 15) -> Interval:
     """Limiting expected bit value as word length grows.
 
-    Evaluates (k x^k - k x^(k-1) - x^k + 1) /
-              (k x^k - k x^(k-1) + x^(2k) - 3 x^k + 2) at x = 1/phi_k
-    with interval arithmetic, refining the root enclosure until the
-    result is narrower than 10^-precision_digits.
+    The ones and total-bits generating functions share the double pole
+    1/phi_k and the denominator g_k^2, so the ratio of their leading
+    coefficients is the ratio of their numerators at x = 1/phi_k.  The
+    root enclosure is refined until the result is narrower than
+    10^-precision_digits.
     """
     _check_params(k, precision_digits)
-    numerator = _limit_numerator(k)
-    denominator = _limit_denominator(k)
+    ones, bits = pk_fraction(k)[0], tk_fraction(k)[0]
     tol = Fraction(1, 10**precision_digits)
-    work = precision_digits + GUARD_DIGITS
-    for _ in range(MAX_ESCALATIONS + 1):
+
+    def attempt(work: int) -> Interval | None:
         x = inverse_phi(k, work)
-        result = numerator(x) / denominator(x)
-        if result.width < tol:
-            return result
-        work *= 2
-    raise RuntimeError(f"limit_value({k}) did not reach width {tol}")
+        result = ones(x) / bits(x)
+        return result if result.width < tol else None
+
+    return _refine(attempt, precision_digits + GUARD_DIGITS)
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
-    k: int
-    target: str  # "P" or "T"
-    n: int
-    value: Interval
-
-
-def asymptotic_coefficient(
-    k: int, target: str, n: int, precision_digits: int = 15
-) -> AsymptoticEstimate:
+def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 15) -> Interval:
     """Leading-term estimate of the n-th series coefficient.
 
     The dominant singularity 1/phi_k is a double pole of both series, so
@@ -140,19 +105,20 @@ def asymptotic_coefficient(
     _check_params(k, precision_digits)
     if target not in ("P", "T"):
         raise ValueError(f"target must be 'P' or 'T', got {target!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"leading term n * phi^n is meaningless at n={n!r}")
+    _check_n(n)
+    if n == 0:
+        raise ValueError("leading term n * phi^n is meaningless at n=0")
     f = (pk_fraction if target == "P" else tk_fraction)(k)[0]
     g_prime = fibonacci_poly(k).derivative()
-    work = precision_digits + GUARD_DIGITS
-    for _ in range(MAX_ESCALATIONS + 1):
+    rel_tol = Fraction(1, 10**precision_digits)
+
+    def attempt(work: int) -> Interval | None:
         root = phi(k, work)
         x = root.reciprocal()
         value = (2 * n) * root ** (n + 2) * f(x) / (2 * g_prime(x) ** 2)
-        if value.width < abs(value).lo * Fraction(1, 10**precision_digits):
-            return AsymptoticEstimate(k=k, target=target, n=n, value=value)
-        work *= 2
-    raise RuntimeError(f"asymptotic_coefficient({k},{target},{n}) did not converge")
+        return value if value.width < abs(value).lo * rel_tol else None
+
+    return _refine(attempt, precision_digits + GUARD_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -216,10 +182,3 @@ def all_roots(
         error_radii=tuple(radii[j] for j in order),
         residuals=tuple(residuals[j] for j in order),
     )
-
-
-def corollary_check(k_max: int, precision_digits: int = 15) -> list[tuple[int, Interval]]:
-    """Limit values for k = 2..k_max; callers assert the rise toward 1/2."""
-    if not isinstance(k_max, int) or k_max < 2:
-        raise ValueError(f"need k_max >= 2, got {k_max!r}")
-    return [(k, limit_value(k, precision_digits)) for k in range(2, k_max + 1)]

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import _check_k
+
 
 @dataclass(frozen=True)
 class IntPoly:
@@ -87,15 +89,13 @@ class IntPoly:
 
 def fibonacci_poly(k: int) -> IntPoly:
     """x^k + x^(k-1) + ... + x - 1; its smallest-modulus root is 1/phi_k."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    _check_k(k)
     return IntPoly([-1] + [1] * k)
 
 
 def reciprocal_fibonacci_poly(k: int) -> IntPoly:
     """x^k - x^(k-1) - ... - x - 1; its largest-modulus root is phi_k."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    _check_k(k)
     return IntPoly([-1] * k + [1])
 
 
@@ -105,10 +105,8 @@ def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     Numerator x * sum_{i=0}^{k-2} (i+1) x^i over the square of the
     run-constraint polynomial.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    numerator = IntPoly([0] + [i + 1 for i in range(k - 1)])
     g = fibonacci_poly(k)
+    numerator = IntPoly([0] + [i + 1 for i in range(k - 1)])
     return numerator, g * g
 
 
@@ -119,10 +117,8 @@ def tk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
                    + sum_{i=k-1}^{2k-2} (2k-i-1) x^i)
     over the same squared denominator.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    g = fibonacci_poly(k)
     inner = [2 * i + 2 for i in range(k - 1)]
     inner += [2 * k - i - 1 for i in range(k - 1, 2 * k - 1)]
     numerator = IntPoly([0] + inner)
-    g = fibonacci_poly(k)
     return numerator, g * g

@@ -187,7 +187,7 @@ def _ratio_gap(k: int, target: str, n: int) -> Interval:
         core.popularity(n, k) if target == "P" else n * core.count_words(n, k)
     )
     digits = 30 + (n if target == "T" else 0)
-    estimate = numerics.asymptotic_coefficient(k, target, n, digits).value
+    estimate = numerics.asymptotic_coefficient(k, target, n, digits)
     return abs(estimate / exact - 1)
 
 
@@ -225,7 +225,7 @@ def check_alpha_convergence(threshold: Fraction = Fraction(2, 10000)) -> CheckRe
 
 
 def check_corollary(k_max: int = 40) -> CheckResult:
-    limits = numerics.corollary_check(k_max, 15)
+    limits = [(k, numerics.limit_value(k, 15)) for k in range(2, k_max + 1)]
     for (_, earlier), (k, later) in zip(limits, limits[1:]):
         if not earlier.hi < later.lo:
             return _check("corollary", False, f"not increasing at k={k}")

@@ -108,6 +108,9 @@ def test_phi(capsys):
     code, out, _ = run(capsys, "phi", "--k", "2", "--digits", "15")
     assert "1.618033988749895" in out
     assert "0.618033988749895" in out
+    code, out, _ = run(capsys, "phi", "--k", "2", "--digits", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "phi_2 = 2"
 
 
 def test_popularity(capsys):
@@ -153,6 +156,23 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "count", "--k", "1", "--n", "4")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["phi", "--k", "2", "--digits", "-1"], "--digits", "-1"),
+        (["alpha-series", "--k", "2", "--n-max", "3", "--digits", "-1"], "--digits", "-1"),
+        (["alpha-series", "--k", "2", "--n-max", "0", "--format", "csv"], "--n-max", "0"),
+        (["table1", "--k", "2", "--n-max", "0"], "--n-max", "0"),
+        (["limits", "--k-max", "3", "--digits", "-2"], "--digits", "-2"),
+    ],
+)
+def test_bad_option_value_is_a_one_line_usage_error(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and flag in err and f"got {value}\n" in err
 
 
 def test_verify_quick(capsys):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from runwords import core, oracle
+from runwords import core, numerics, oracle
+from runwords.poly import fibonacci_poly
 
 
 class TestKStepFibonacci:
@@ -100,7 +101,7 @@ class TestPopularity:
     def test_agrees_with_distribution_route(self):
         for k in (2, 3, 4, 5):
             for n in range(0, 25):
-                assert core.popularity(n, k) == core.popularity_from_distribution(n, k)
+                assert core.popularity(n, k) == core.ones_distribution(n, k).total_ones
 
 
 class TestAlpha:
@@ -119,6 +120,25 @@ class TestAlpha:
             assert core.alpha(1, k) == Fraction(1, 2)
             for n in range(1, 40):
                 assert Fraction(0) < core.alpha(n, k) <= Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (core.kstep_fibonacci, (True, 2)),
+        (core.count_words, (True, 2)),
+        (core.ones_distribution, (True, 2)),
+        (core.alpha, (True, 2)),
+        (fibonacci_poly, (True,)),
+        (numerics.phi, (2, True)),
+        (numerics.limit_value, (2, True)),
+        (numerics.asymptotic_coefficient, (2, "P", True)),
+    ],
+)
+def test_bool_is_refused_as_an_integer_argument(func, args):
+    # bool is an int subclass, so a plain isinstance check would read True as 1
+    with pytest.raises(ValueError):
+        func(*args)
 
 
 def test_matches_oracle_small():

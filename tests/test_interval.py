@@ -1,6 +1,9 @@
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from runwords.interval import (
     Interval,
@@ -50,10 +53,10 @@ class TestIntervalArithmetic:
         with pytest.raises(ValueError):
             Interval(1, 2) ** -1
 
-    def test_abs_and_hull(self):
+    def test_abs(self):
         assert abs(Interval(-3, 2)) == Interval(0, 3)
         assert abs(Interval(-3, -2)) == Interval(2, 3)
-        assert Interval(0, 1).hull(Interval(5, 6)) == Interval(0, 6)
+        assert abs(Interval(2, 3)) == Interval(2, 3)
 
     def test_containment_preserved_by_ops(self):
         # any point of the operands maps into the result interval
@@ -93,3 +96,59 @@ class TestDecimalRendering:
     def test_render_decimal_gives_up(self):
         with pytest.raises(RuntimeError):
             render_decimal(lambda digits: Interval(0, 1), 2)
+
+
+rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+
+
+@st.composite
+def intervals_with_point(draw):
+    """An interval and a rational point inside it."""
+    a, b = draw(rationals), draw(rationals)
+    lo, hi = min(a, b), max(a, b)
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=1000))
+    return Interval(lo, hi), lo + t * (hi - lo)
+
+
+@st.composite
+def rationals_and_places(draw):
+    """A rational and a number of places; half the rationals are exact ties."""
+    digits = draw(st.integers(min_value=0, max_value=30))
+    ties = st.integers(min_value=-(10**9), max_value=10**9).map(
+        lambda m: Fraction(2 * m + 1, 2 * 10**digits)
+    )
+    return draw(st.one_of(rationals, ties)), digits
+
+
+class TestProperties:
+    @given(rationals_and_places())
+    def test_round_fraction_matches_decimal_half_even(self, x_and_digits):
+        x, digits = x_and_digits
+        # 100 significant digits leave the division error far below the
+        # 1/denominator distance of any non-tie from a rounding boundary
+        with localcontext() as ctx:
+            ctx.prec = 100
+            exact = Decimal(x.numerator) / Decimal(x.denominator)
+            expected = exact.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
+        assert round_fraction(x, digits) == format(expected, "f")
+
+    @given(
+        rationals,
+        st.fractions(min_value=0, max_value=Fraction(1, 10**3), max_denominator=10**8),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_certified_decimal_is_the_rounding_of_every_point(self, lo, width, digits):
+        enclosure = Interval(lo, lo + width)
+        rendered = certified_decimal(enclosure, digits)
+        if rendered is not None:
+            for x in (enclosure.lo, enclosure.mid, enclosure.hi):
+                assert round_fraction(x, digits) == rendered
+
+    @given(intervals_with_point(), intervals_with_point())
+    def test_operations_enclose_pointwise_results(self, a_and_x, b_and_y):
+        (a, x), (b, y) = a_and_x, b_and_y
+        assert x + y in a + b
+        assert x - y in a - b
+        assert x * y in a * b
+        if 0 not in b:
+            assert x / y in a / b

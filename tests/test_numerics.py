@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from runwords import core, numerics
@@ -13,13 +14,13 @@ GOLDEN = (1 + sqrt5_enclosure()) / 2  # width ~1e-40
 class TestPhi:
     def test_golden_ratio(self):
         enc = numerics.phi(2, 20)
-        assert enc.overlaps(GOLDEN)
+        assert 0 in enc - GOLDEN  # the two enclosures overlap
         assert enc.width < Fraction(1, 10**20)
 
     def test_defining_property(self):
         for k in (2, 3, 5, 8):
             enc = numerics.phi(k, 20)
-            assert reciprocal_fibonacci_poly(k)(enc).straddles_zero()
+            assert 0 in reciprocal_fibonacci_poly(k)(enc)
 
     def test_large_k_approaches_two(self):
         enc = numerics.phi(30, 15)
@@ -41,12 +42,12 @@ class TestPhi:
 class TestInversePhi:
     def test_golden_case(self):
         enc = numerics.inverse_phi(2, 20)
-        assert enc.overlaps(GOLDEN.reciprocal())
+        assert 0 in enc - GOLDEN.reciprocal()
 
     def test_root_of_constraint_poly(self):
         for k in range(2, 14):
             enc = numerics.inverse_phi(k, 20)
-            assert fibonacci_poly(k)(enc).straddles_zero()
+            assert 0 in fibonacci_poly(k)(enc)
             assert 0 < enc.lo and enc.hi < 1
 
     def test_k3_independent_bisection(self):
@@ -55,7 +56,7 @@ class TestInversePhi:
         direct = bisect_root(
             fibonacci_poly(3), Fraction(0), Fraction(1), Fraction(1, 10**20)
         )
-        assert direct.overlaps(numerics.inverse_phi(3, 20))
+        assert 0 in direct - numerics.inverse_phi(3, 20)
         # 0.5436890...
         assert Fraction(54368, 10**5) < direct.lo
         assert direct.hi < Fraction(54369, 10**5)
@@ -67,15 +68,30 @@ class TestLimitValue:
         enc = numerics.limit_value(2, 32)
         assert abs(enc - closed).hi < Fraction(1, 10**30)
 
+    def test_matches_closed_form_in_mpmath(self):
+        # Independent of the production path: phi_k from mpmath.findroot at
+        # twice the digits, and the limit in closed form at x = 1/phi_k.
+        digits = 30
+        with mpmath.workdps(2 * digits):
+            for k in range(2, 41):
+                root = mpmath.findroot(
+                    lambda z: z**k - sum(z**i for i in range(k)), (1, 2), solver="anderson"
+                )
+                x = 1 / root
+                closed = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
+                    k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
+                )
+                assert Fraction(mpmath.nstr(closed, 2 * digits)) in numerics.limit_value(k, digits)
+
     def test_width_contract(self):
         for k in (2, 5, 13):
             assert numerics.limit_value(k, 20).width < Fraction(1, 10**20)
 
     def test_below_half_and_rising(self):
-        pairs = numerics.corollary_check(12)
-        for (_, earlier), (_, later) in zip(pairs, pairs[1:]):
+        limits = [numerics.limit_value(k) for k in range(2, 13)]
+        for earlier, later in zip(limits, limits[1:]):
             assert earlier.hi < later.lo
-        assert all(enc.hi < Fraction(1, 2) for _, enc in pairs)
+        assert all(enc.hi < Fraction(1, 2) for enc in limits)
 
 
 class TestAsymptoticCoefficient:
@@ -86,13 +102,13 @@ class TestAsymptoticCoefficient:
             numerics.asymptotic_coefficient(2, "X", 10)
 
     def test_ratio_approaches_one(self):
-        est = numerics.asymptotic_coefficient(2, "P", 1000, 20).value
+        est = numerics.asymptotic_coefficient(2, "P", 1000, 20)
         exact = core.popularity(1000, 2)
         ratio = est / exact
         assert abs(ratio - 1).hi < Fraction(1, 100)
 
     def test_bits_target(self):
-        est = numerics.asymptotic_coefficient(3, "T", 1000, 20).value
+        est = numerics.asymptotic_coefficient(3, "T", 1000, 20)
         exact = 1000 * core.count_words(1000, 3)
         assert abs(est / exact - 1).hi < Fraction(1, 100)
 
