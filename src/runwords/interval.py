@@ -3,6 +3,9 @@
 Endpoints are ``fractions.Fraction``, so every arithmetic operation is
 exact and the enclosure property is preserved without rounding control:
 the true value of any expression lies inside the computed interval.
+Exact endpoints grow with every product; ``Interval.round_out`` rounds
+them outward to dyadic numbers of bounded size where a computation
+needs only a given relative precision.
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         other = self._coerce(other)
+        if other.lo >= 0:  # sign tests pick the two extreme products
+            return Interval(
+                self.lo * (other.lo if self.lo >= 0 else other.hi),
+                self.hi * (other.hi if self.hi >= 0 else other.lo),
+            )
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -98,6 +106,19 @@ class Interval:
             return Interval(self.hi**exponent, self.lo**exponent)
         return Interval(Fraction(0), max(self.lo**exponent, self.hi**exponent))
 
+    def round_out(self, bits: int) -> "Interval":
+        """Enclosing interval whose endpoints are dyadic with about `bits` significant bits.
+
+        ``lo`` is rounded down and ``hi`` up, so the result contains
+        ``self``; each endpoint moves by less than 2^(1-bits) of its
+        magnitude.
+        """
+        if type(bits) is not int or bits < 1:
+            raise ValueError(f"need bits >= 1, got {bits!r}")
+        return Interval(
+            _round_dyadic(self.lo, bits, up=False), _round_dyadic(self.hi, bits, up=True)
+        )
+
     def reciprocal(self) -> "Interval":
         return 1 / self
 
@@ -112,8 +133,19 @@ class Interval:
         return f"[{float(self.lo)}, {float(self.hi)}]"
 
 
+def _round_dyadic(x: Fraction, bits: int, up: bool) -> Fraction:
+    """x rounded down (or up) to a multiple of 2^e, with |x| / 2^e in (2^(bits-1), 2^(bits+1))."""
+    shift = bits - x.numerator.bit_length() + x.denominator.bit_length()
+    num = x.numerator << max(shift, 0)
+    den = x.denominator << max(-shift, 0)
+    q = -(-num // den) if up else num // den
+    return Fraction(q, 1 << shift) if shift >= 0 else Fraction(q << -shift)
+
+
 def round_fraction(x: Fraction, digits: int) -> str:
     """Decimal string of x with exactly `digits` places, round-half-even."""
+    if type(digits) is not int or digits < 0:  # bool is refused too
+        raise ValueError(f"need digits >= 0, got {digits!r}")
     sign = "-" if x < 0 else ""
     scaled = abs(Fraction(x)) * 10**digits
     whole, frac = divmod(scaled.numerator, scaled.denominator)

@@ -1,13 +1,19 @@
 """Certified numerics: the dominant root, root geometry, asymptotics.
 
-The ground-truth root method is sign-change bisection with exact
-rational evaluation, so every enclosure is certified.  The complex root
-finder is numerical with residual-based error radii; it backs the
+The ground-truth root method is safeguarded Newton iteration on a
+bracket certified by an exact sign change of the integer polynomial:
+Newton steps from dyadic points propose narrower brackets, each kept
+only if the polynomial changes sign across it, and bisection takes over
+when a step fails.  Every enclosure is therefore certified.  Interval
+evaluations round their inputs outward to the working precision, so
+endpoint sizes stay proportional to the digits asked for.  The complex
+root finder is numerical with residual-based error radii; it backs the
 root-geometry checks, not the certified values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +24,12 @@ from .interval import Interval, _refine
 from .poly import IntPoly, fibonacci_poly, pk_fraction, reciprocal_fibonacci_poly, tk_fraction
 
 GUARD_DIGITS = 10
+# Bits kept beyond the working digits when an enclosure is rounded outward.
+GUARD_BITS = 32
+# Margin, in bits, between a Newton candidate bracket and the error
+# estimate |p''/p'| (width/2)^2 of the step; a step that falls short
+# anyway fails its certificate and the round bisects.
+NEWTON_SLACK_BITS = 2
 
 
 class RootFindingError(RuntimeError):
@@ -30,21 +42,55 @@ def _check_params(k: int, precision_digits: int) -> None:
         raise ValueError(f"need precision_digits >= 1, got {precision_digits!r}")
 
 
+def _log2_inverse(x: Fraction) -> int:
+    """log2(1/x) for x > 0, to within one."""
+    return x.denominator.bit_length() - x.numerator.bit_length()
+
+
+def _work_bits(work: int) -> int:
+    """Significant bits that carry `work` decimal digits, plus a guard."""
+    return math.ceil(work * math.log2(10)) + GUARD_BITS
+
+
 def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Interval:
     """Enclosure of the root of poly in [lo, hi] to width < tol.
 
-    Requires a sign change poly(lo) < 0 < poly(hi); every step evaluates
-    the polynomial exactly at a rational midpoint, so the bracket is a
-    certified enclosure at all times.
+    Requires a sign change poly(lo) < 0 < poly(hi), and keeps one at
+    every step, checked by exact rational evaluation, so the bracket is a
+    certified enclosure at all times.  Each round takes a Newton step
+    from the bracket midpoint.  Newton about doubles the correct bits, so
+    the candidate bracket is the step's result +- 2^-p, with p close to
+    twice the bits of the current width, less the bits of |p''/p'| (but
+    no more than tol needs), rounded outward to dyadic endpoints.  The
+    candidate replaces the bracket only if it is at most half as wide and
+    the polynomial changes sign across it; otherwise the round bisects at
+    the midpoint instead.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not poly(lo) < 0 < poly(hi):
         raise ValueError(f"no sign change for {poly} on [{lo}, {hi}]")
+    slope = poly.derivative()
+    bend = slope.derivative()
     while hi - lo >= tol:
+        width = hi - lo
         mid = (lo + hi) / 2
         value = poly(mid)
         if value == 0:
             return Interval(mid, mid)
+        derivative = slope(mid)
+        if derivative != 0:
+            curvature_bits = math.ceil(abs(bend(mid) / derivative)).bit_length()
+            p = min(
+                2 * _log2_inverse(width) - curvature_bits - NEWTON_SLACK_BITS,
+                _log2_inverse(tol) + 3,
+            )
+            step = mid - value / derivative
+            eps = Fraction(2) ** -p
+            candidate = Interval(step - eps, step + eps).round_out(max(p, 1) + 2)
+            a, b = max(lo, candidate.lo), min(hi, candidate.hi)
+            if b - a < width / 2 and poly(a) < 0 < poly(b):
+                lo, hi = a, b
+                continue
         if value < 0:
             lo = mid
         else:
@@ -87,7 +133,7 @@ def limit_value(k: int, precision_digits: int = 15) -> Interval:
     tol = Fraction(1, 10**precision_digits)
 
     def attempt(work: int) -> Interval | None:
-        x = inverse_phi(k, work)
+        x = inverse_phi(k, work).round_out(_work_bits(work))
         result = ones(x) / bits(x)
         return result if result.width < tol else None
 
@@ -113,12 +159,27 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     rel_tol = Fraction(1, 10**precision_digits)
 
     def attempt(work: int) -> Interval | None:
+        bits = _work_bits(work)
         root = phi(k, work)
-        x = root.reciprocal()
-        value = (2 * n) * root ** (n + 2) * f(x) / (2 * g_prime(x) ** 2)
+        x = root.reciprocal().round_out(bits)
+        value = (2 * n) * _power(root, n + 2, bits) * f(x) / (2 * g_prime(x) ** 2)
         return value if value.width < abs(value).lo * rel_tol else None
 
     return _refine(attempt, precision_digits + GUARD_DIGITS)
+
+
+def _power(base: Interval, exponent: int, bits: int) -> Interval:
+    """Enclosure of base ** exponent for base > 0, rounded outward to `bits` after every product.
+
+    Square-and-multiply keeps every endpoint near `bits` significant
+    bits, where the exact power would have exponent times as many.
+    """
+    result = Interval.point(1)
+    for digit in bin(exponent)[2:]:
+        result = (result * result).round_out(bits)
+        if digit == "1":
+            result = (result * base).round_out(bits)
+    return result
 
 
 @dataclass(frozen=True)

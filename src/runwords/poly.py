@@ -6,6 +6,7 @@ Degrees stay small (at most 2k+1), so a plain coefficient list is fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import _check_k
 
@@ -60,7 +61,18 @@ class IntPoly:
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, complex, Interval."""
+        """Horner evaluation; works for int, Fraction, complex, Interval.
+
+        A Fraction n/d is evaluated in integers, as d^degree p(n/d), and
+        reduced once at the end.
+        """
+        if isinstance(x, Fraction):
+            n, d = x.numerator, x.denominator
+            acc, scale = 0, 1
+            for c in reversed(self.coeffs):
+                acc = acc * n + c * scale
+                scale *= d
+            return Fraction(acc, scale // d) if self.coeffs else Fraction(0)
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c

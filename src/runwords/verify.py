@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+import mpmath
+
 from . import core, numerics, oracle, series
 from .interval import Interval, render_decimal
 from .poly import pk_fraction, tk_fraction
@@ -79,6 +81,8 @@ def check_oracle_equivalence(n_max: int, ks: Iterable[int]) -> CheckResult:
 
 def table1_cells(k: int, n_max: int = 9) -> list[list[int]]:
     """Triangle of counts by ones m (rows) and length n = 1..n_max."""
+    if type(n_max) is not int or n_max < 1:  # bool is refused too
+        raise ValueError(f"need n_max >= 1, got {n_max!r}")
     columns = [core.ones_distribution(n, k) for n in range(1, n_max + 1)]
     m_max = max(core.max_ones(n, k) for n in range(1, n_max + 1))
     return [[col[m] for col in columns] for m in range(m_max + 1)]
@@ -236,7 +240,36 @@ def check_corollary(k_max: int = 40) -> CheckResult:
     return _check("corollary", True, f"k=2..{k_max} strictly rising below 1/2")
 
 
+def _mpmath_value(name: str, k: int) -> Fraction:
+    """phi_k, 1/phi_k or the limit, from mpmath alone at its current precision.
+
+    The roots come from ``mpmath.findroot`` on the defining polynomials
+    written out here, and the limit from its closed form at x = 1/phi_k,
+    so nothing is shared with the production path.
+    """
+    if name == "phi":
+        value = mpmath.findroot(
+            lambda z: z**k - sum(z**i for i in range(k)), (1, 2), solver="anderson"
+        )
+    else:
+        x = mpmath.findroot(
+            lambda z: sum(z**i for i in range(1, k + 1)) - 1, (0, 1), solver="anderson"
+        )
+        value = x
+        if name == "limit_value":
+            value = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
+                k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
+            )
+    mantissa, exponent = value.man_exp
+    return mantissa * Fraction(2) ** exponent
+
+
 def check_enclosure_soundness(trials: int = 100, seed: int = 20240826) -> CheckResult:
+    """Randomized enclosures at two precisions, against each other and against mpmath.
+
+    The mpmath value is computed at 2*digits + 10 digits, so it may sit
+    outside an enclosure by no more than 10^-(2*digits + 5).
+    """
     import random
 
     rng = random.Random(seed)
@@ -247,7 +280,12 @@ def check_enclosure_soundness(trials: int = 100, seed: int = 20240826) -> CheckR
         coarse = compute(k, digits)
         fine = compute(k, 2 * digits)
         widened = Interval(coarse.lo - coarse.width, coarse.hi + coarse.width)
-        if fine not in widened:
+        with mpmath.workdps(2 * digits + 10):
+            reference = _mpmath_value(compute.__name__, k)
+        slack = Fraction(1, 10 ** (2 * digits + 5))
+        if fine not in widened or not all(
+            enc.lo - slack <= reference <= enc.hi + slack for enc in (coarse, fine)
+        ):
             return _check(
                 "enclosure_soundness",
                 False,

@@ -1,5 +1,8 @@
 import json
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from math import inf
 
+import mpmath
 import pytest
 
 from runwords.cli import main
@@ -111,6 +114,40 @@ def test_phi(capsys):
     code, out, _ = run(capsys, "phi", "--k", "2", "--digits", "0")
     assert code == 0
     assert out.splitlines()[0] == "phi_2 = 2"
+
+
+def _half_even(value, digits: int) -> str:
+    """mpmath value rounded half-to-even to `digits` places, from 20 more."""
+    text = mpmath.nstr(value, digits + 20, min_fixed=-inf, max_fixed=inf, strip_zeros=False)
+    with localcontext() as ctx:
+        ctx.prec = digits + 40
+        return str(Decimal(text).quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN))
+
+
+def test_certified_digits_match_mpmath(capsys):
+    code, out, _ = run(capsys, "phi", "--k", "2", "--digits", "3000")
+    assert code == 0
+    with mpmath.workdps(3040):
+        golden = (1 + mpmath.sqrt(5)) / 2
+        expected = [
+            f"phi_2 = {_half_even(golden, 3000)}",
+            f"1/phi_2 = {_half_even(1 / golden, 3000)}",
+        ]
+    assert out.splitlines() == expected
+
+    code, out, _ = run(capsys, "limits", "--k-max", "40", "--digits", "50")
+    assert code == 0
+    expected = []
+    with mpmath.workdps(90):
+        for k in range(2, 41):
+            x = mpmath.findroot(
+                lambda z: sum(z**i for i in range(1, k + 1)) - 1, (0, 1), solver="anderson"
+            )
+            limit = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
+                k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
+            )
+            expected.append(f"{k:>3}  {_half_even(limit, 50)}")
+    assert out.splitlines() == expected
 
 
 def test_popularity(capsys):

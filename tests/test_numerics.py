@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runwords import core, numerics
 from runwords.interval import Interval
-from runwords.poly import fibonacci_poly, reciprocal_fibonacci_poly
+from runwords.poly import IntPoly, fibonacci_poly, reciprocal_fibonacci_poly
 from runwords.verify import sqrt5_enclosure
 
 GOLDEN = (1 + sqrt5_enclosure()) / 2  # width ~1e-40
@@ -38,6 +40,38 @@ class TestPhi:
         with pytest.raises(ValueError):
             numerics.phi(2, 0)
 
+    @settings(deadline=None)
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=500))
+    def test_width_and_mpmath_root(self, k, digits):
+        enc = numerics.phi(k, digits)
+        assert enc.width < Fraction(1, 10**digits)
+        with mpmath.workdps(digits + 20):
+            root = mpmath.findroot(
+                lambda z: z**k - sum(z**i for i in range(k)), (1, 2), solver="anderson"
+            )
+            mantissa, exponent = root.man_exp
+        # the mpmath root is itself good to about 10^-(digits + 18)
+        slack = Fraction(1, 10 ** (digits + 15))
+        assert enc.lo - slack <= mantissa * Fraction(2) ** exponent <= enc.hi + slack
+
+
+class TestBisectRoot:
+    def test_bisects_where_newton_leaves_the_bracket(self):
+        # x^9 - 2 is flat at the midpoint 1/2 of [-1, 2]: the Newton step
+        # from there lands far beyond the bracket, so the round must bisect.
+        poly = IntPoly([-2] + [0] * 8 + [1])
+        lo, hi, tol = Fraction(-1), Fraction(2), Fraction(1, 10**60)
+        mid = (lo + hi) / 2
+        assert mid - poly(mid) / poly.derivative()(mid) > hi
+        enc = numerics.bisect_root(poly, lo, hi, tol)
+        assert enc.width < tol
+        assert poly(enc.lo) < 0 < poly(enc.hi)
+        assert enc.lo**9 < 2 < enc.hi**9
+
+    def test_refuses_a_bracket_without_sign_change(self):
+        with pytest.raises(ValueError):
+            numerics.bisect_root(fibonacci_poly(3), Fraction(1), Fraction(2), Fraction(1, 10))
+
 
 class TestInversePhi:
     def test_golden_case(self):
@@ -51,11 +85,18 @@ class TestInversePhi:
             assert 0 < enc.lo and enc.hi < 1
 
     def test_k3_independent_bisection(self):
-        from runwords.numerics import bisect_root
+        # plain bisection on x^3 + x^2 + x - 1, independent of numerics
+        def g(x):
+            return x**3 + x**2 + x - 1
 
-        direct = bisect_root(
-            fibonacci_poly(3), Fraction(0), Fraction(1), Fraction(1, 10**20)
-        )
+        lo, hi = Fraction(0), Fraction(1)
+        while hi - lo >= Fraction(1, 10**20):
+            mid = (lo + hi) / 2
+            if g(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        direct = Interval(lo, hi)
         assert 0 in direct - numerics.inverse_phi(3, 20)
         # 0.5436890...
         assert Fraction(54368, 10**5) < direct.lo

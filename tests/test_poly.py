@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from runwords.poly import (
     IntPoly,
@@ -32,6 +34,14 @@ def test_evaluation_types():
     assert p(3) == 8
     assert p(Fraction(1, 2)) == Fraction(-3, 4)
     assert p(1j) == -2
+
+
+@given(
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=12),
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**12),
+)
+def test_fraction_evaluation_matches_term_sum(coeffs, x):
+    assert IntPoly(coeffs)(x) == sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
 
 
 def test_derivative():
