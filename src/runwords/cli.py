@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
-from . import core, numerics, oracle, verify
+from . import core, numerics, oracle, poly, series, verify
 from .interval import render_decimal, round_fraction
 
 
@@ -27,8 +28,11 @@ def _emit(args, plain: str, rows: list[dict], json_doc=None) -> None:
         text = json.dumps(json_doc if json_doc is not None else rows, indent=2)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -86,9 +90,11 @@ def cmd_alpha_series(args) -> int:
     limit_decimal = render_decimal(
         lambda work: numerics.limit_value(args.k, work), args.digits
     )
+    pk = series.expand(*poly.pk_fraction(args.k), args.n_max)
+    tk = series.expand(*poly.tk_fraction(args.k), args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):
-        a = core.alpha(n, args.k)
+        a = Fraction(pk[n], tk[n])
         rows.append(
             {
                 "k": args.k,

@@ -19,9 +19,10 @@ from fractions import Fraction
 
 import mpmath
 
-from .core import _check_k, _check_n
 from .interval import Interval, _refine
-from .poly import IntPoly, fibonacci_poly, pk_fraction, reciprocal_fibonacci_poly, tk_fraction
+from .poly import (
+    IntPoly, _check_k, _check_n, fibonacci_poly, pk_fraction, reciprocal_fibonacci_poly, tk_fraction,
+)
 
 GUARD_DIGITS = 10
 # Bits kept beyond the working digits when an enclosure is rounded outward.

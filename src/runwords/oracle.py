@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_k, _check_n, max_ones
+from .poly import _check_k, _check_n, max_ones
 
 ENUMERATE_MAX_N = 24
 LIST_MAX_N = 16

@@ -1,6 +1,6 @@
 """Dense integer-coefficient polynomials and the specific ones we need.
 
-Degrees stay small (at most 2k+1), so a plain coefficient list is fine.
+Degrees stay small (a few times k), so a plain coefficient list is fine.
 """
 
 from __future__ import annotations
@@ -8,7 +8,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _check_k
+
+# ``type(...) is int`` refuses bool, which isinstance would let through.
+def _check_k(k: int) -> None:
+    if type(k) is not int or k < 2:
+        raise ValueError(f"run length k must be an integer >= 2, got {k!r}")
+
+
+def _check_n(n: int) -> None:
+    if type(n) is not int or n < 0:
+        raise ValueError(f"word length n must be an integer >= 0, got {n!r}")
+
+
+def max_ones(n: int, k: int) -> int:
+    """Largest number of 1s a length-n word can carry without a run of k."""
+    return n - n // k
 
 
 @dataclass(frozen=True)
@@ -125,12 +139,9 @@ def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
 def tk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     """Generating function of the total bit count (n times the word count).
 
-    Numerator x * (sum_{i=0}^{k-2} (2i+2) x^i
-                   + sum_{i=k-1}^{2k-2} (2k-i-1) x^i)
-    over the same squared denominator.
+    The word counts have generating function -h/g with h = 1 + x + ...
+    + x^(k-1) and g the run-constraint polynomial; termwise x*d/dx turns
+    it into x * (h g' - h' g) over the same squared denominator.
     """
-    g = fibonacci_poly(k)
-    inner = [2 * i + 2 for i in range(k - 1)]
-    inner += [2 * k - i - 1 for i in range(k - 1, 2 * k - 1)]
-    numerator = IntPoly([0] + inner)
-    return numerator, g * g
+    g, h = fibonacci_poly(k), IntPoly([1] * k)
+    return IntPoly([0, 1]) * (h * g.derivative() - h.derivative() * g), g * g

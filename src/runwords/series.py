@@ -1,24 +1,21 @@
-"""Exact power-series expansion of the rational generating functions.
+"""Exact power-series coefficients of the rational generating functions.
 
-Covers the univariate series for the 1s popularity and the total bit
-count, and the bivariate series counting words by length and number of
-1s, including the fixed-point check of its defining equation.
+Covers the univariate series (random access to one coefficient, and
+prefixes) and the bivariate series counting words by length and number
+of 1s, including the fixed-point check of its defining equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
-from .core import _check_k, max_ones
-from .poly import IntPoly
-
-DEFAULT_SERIES_LENGTH = 200
+from .poly import IntPoly, _check_k, max_ones
 
 
 @dataclass(frozen=True)
 class SeriesExpansion:
-    numerator: IntPoly
-    denominator: IntPoly
     coeffs: tuple[int, ...]
 
     def __getitem__(self, n: int) -> int:
@@ -29,8 +26,6 @@ class SeriesExpansion:
 class BivariateTruncation:
     """Table c[n][m] of avoider counts by length n and ones count m."""
 
-    k: int
-    max_n: int
     table: tuple[tuple[int, ...], ...]
 
     def __getitem__(self, nm: tuple[int, int]) -> int:
@@ -39,25 +34,46 @@ class BivariateTruncation:
         return row[m] if 0 <= m < len(row) else 0
 
 
-def expand(numerator: IntPoly, denominator: IntPoly, n_terms: int = DEFAULT_SERIES_LENGTH) -> SeriesExpansion:
+def _unit_constant_term(denominator: IntPoly) -> int:
+    d0 = denominator[0]
+    if d0 not in (1, -1):
+        raise ValueError(f"denominator constant term must be +1 or -1, got {d0}")
+    return d0
+
+
+def expand(numerator: IntPoly, denominator: IntPoly, n_terms: int) -> SeriesExpansion:
     """First coefficients of numerator/denominator as a power series.
 
     Standard linear recurrence: with d0 = denominator constant term,
     d0 * c_n = numer_n - sum_{j>=1} denom_j * c_{n-j}.  Requires d0 in
     {1, -1} so every coefficient is an exact integer.
     """
-    d0 = denominator[0]
-    if d0 not in (1, -1):
-        raise ValueError(
-            f"denominator constant term must be +1 or -1, got {d0}"
-        )
+    d0 = _unit_constant_term(denominator)
     coeffs: list[int] = []
     for n in range(n_terms + 1):
         acc = numerator[n]
         for j in range(1, min(n, denominator.degree) + 1):
             acc -= denominator[j] * coeffs[n - j]
         coeffs.append(acc * d0)
-    return SeriesExpansion(numerator, denominator, tuple(coeffs))
+    return SeriesExpansion(tuple(coeffs))
+
+
+def coefficient(numerator: IntPoly, denominator: IntPoly, n: int) -> int:
+    """Coefficient of x^n in numerator/denominator, in O(log n) polynomial products.
+
+    Bostan-Mori halving (SOSA 2021): with Q(x)Q(-x) = V(x^2) and
+    P(x)Q(-x) = U_0(x^2) + x U_1(x^2), [x^n] P/Q = [x^(n//2)] U_(n%2)/V.
+    Once n <= deg Q the last terms come from ``expand``.  Same contract
+    as ``expand``: the constant term of the denominator must be +1 or -1.
+    """
+    _unit_constant_term(denominator)
+    p, q = numerator, denominator
+    while n > q.degree:
+        q_neg = IntPoly(-c if i % 2 else c for i, c in enumerate(q.coeffs))
+        p = IntPoly((p * q_neg).coeffs[n % 2::2])
+        q = IntPoly((q * q_neg).coeffs[::2])
+        n //= 2
+    return expand(p, q, n)[n]
 
 
 def _trim(row: list[int]) -> list[int]:
@@ -86,45 +102,43 @@ def expand_bivariate(k: int, max_n: int) -> BivariateTruncation:
             for m, c in enumerate(prev):
                 row[m + i] += c
         table.append(row)
-    return BivariateTruncation(
-        k=k, max_n=max_n, table=tuple(tuple(_trim(list(r))) for r in table)
-    )
+    return BivariateTruncation(tuple(tuple(_trim(r)) for r in table))
 
 
-def expand_bivariate_closed_form(k: int, max_n: int) -> BivariateTruncation:
-    """Same table from the closed-form rational expression.
+def _closed_form_rows(k: int) -> Iterator[tuple[int, ...]]:
+    """Rows c_0(y), c_1(y), ... of the closed-form rational expression.
 
     The closed form is y*(1 - (xy)^k) over y - x*y^2 - x*y + (xy)^(k+1);
     cancelling the common factor y gives numerator 1 - x^k y^k and
     denominator 1 - x - x*y + x^(k+1) y^k, whose constant term is 1, so
     the standard recurrence applies with coefficients that are integer
     polynomials in y:
-        c_n = numer_n + (1 + y) c_{n-1} - y^k c_{n-k-1}.
+        c_n = [n=0] - [n=k] y^k + (1 + y) c_{n-1} - y^k c_{n-k-1}.
+    Only the last k + 1 rows are kept.
     """
-    _check_k(k)
-    table: list[list[int]] = []
-    for n in range(max_n + 1):
-        row = [0] * (n + k + 1)
+    rows: list[list[int]] = []
+    for n in count():
+        prev = rows[-1] if rows else []
+        row = [a + b for a, b in zip([0] + prev, prev + [0])]
         if n == 0:
-            row[0] += 1
+            row[0] = 1
         if n == k:
             row[k] -= 1
-        if n >= 1:
-            for m, c in enumerate(table[n - 1]):
-                row[m] += c
-                row[m + 1] += c
-        if n >= k + 1:
-            for m, c in enumerate(table[n - k - 1]):
-                row[m + k] -= c
-        table.append(_trim(row))
-    return BivariateTruncation(
-        k=k, max_n=max_n, table=tuple(tuple(r) for r in table)
-    )
+        if n > k:
+            # y^k c_{n-k-1} is exactly as long as (1 + y) c_{n-1}
+            for m, c in enumerate(rows[0], k):
+                row[m] -= c
+        row = _trim(row)
+        yield tuple(row)
+        rows = rows[-k:] + [row]
+
+
+def expand_bivariate_closed_form(k: int, max_n: int) -> BivariateTruncation:
+    """Same table as ``expand_bivariate``, from the closed-form rational expression."""
+    _check_k(k)
+    return BivariateTruncation(tuple(islice(_closed_form_rows(k), max_n + 1)))
 
 
 def check_functional_equation(k: int, max_n: int) -> bool:
     """True iff the closed form and the fixed-point expansion agree."""
-    return (
-        expand_bivariate(k, max_n).table
-        == expand_bivariate_closed_form(k, max_n).table
-    )
+    return expand_bivariate(k, max_n) == expand_bivariate_closed_form(k, max_n)

@@ -83,9 +83,8 @@ def table1_cells(k: int, n_max: int = 9) -> list[list[int]]:
     """Triangle of counts by ones m (rows) and length n = 1..n_max."""
     if type(n_max) is not int or n_max < 1:  # bool is refused too
         raise ValueError(f"need n_max >= 1, got {n_max!r}")
-    columns = [core.ones_distribution(n, k) for n in range(1, n_max + 1)]
-    m_max = max(core.max_ones(n, k) for n in range(1, n_max + 1))
-    return [[col[m] for col in columns] for m in range(m_max + 1)]
+    table = series.expand_bivariate_closed_form(k, n_max)
+    return [[table[n, m] for n in range(1, n_max + 1)] for m in range(core.max_ones(n_max, k) + 1)]
 
 
 def check_table1() -> CheckResult:
@@ -116,14 +115,17 @@ def check_table2() -> CheckResult:
 
 
 def check_series_consistency(n_max: int, k_max: int) -> CheckResult:
-    """Series coefficients vs. the exact recurrences."""
+    """Series prefixes vs. the fixed-point table (P_n = sum_m m*c[n][m],
+    T_n = n*sum_m c[n][m]), and random access vs. prefixes."""
     for k in range(2, k_max + 1):
         pk = series.expand(*pk_fraction(k), n_max)
         tk = series.expand(*tk_fraction(k), n_max)
-        for n in range(n_max + 1):
-            if pk[n] != core.popularity(n, k):
+        table = series.expand_bivariate(k, n_max).table
+        for n, row in enumerate(table):
+            ones = sum(m * c for m, c in enumerate(row))
+            if not pk[n] == ones == core.popularity(n, k):
                 return _check("series_consistency", False, f"ones series k={k}, n={n}")
-            if tk[n] != n * core.count_words(n, k):
+            if not tk[n] == n * sum(row) == n * core.count_words(n, k):
                 return _check("series_consistency", False, f"bits series k={k}, n={n}")
     return _check("series_consistency", True, f"n<={n_max}, k<={k_max}")
 
@@ -132,11 +134,8 @@ def check_functional_equation(n_max: int, k_max: int) -> CheckResult:
     for k in range(2, k_max + 1):
         if not series.check_functional_equation(k, n_max):
             return _check("functional_equation", False, f"k={k}")
-        closed = series.expand_bivariate_closed_form(k, n_max)
-        for n in range(n_max + 1):
-            dist = core.ones_distribution(n, k).counts
-            padded = closed.table[n] + (0,) * (len(dist) - len(closed.table[n]))
-            if padded != dist:
+        for n, row in enumerate(series.expand_bivariate(k, n_max).table):
+            if core.ones_distribution(n, k).counts != row:
                 return _check("functional_equation", False, f"table k={k}, n={n}")
     return _check("functional_equation", True, f"n<={n_max}, k<={k_max}")
 

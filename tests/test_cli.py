@@ -189,6 +189,13 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().startswith("k,n,count")
 
 
+def test_unwritable_out_is_a_one_line_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "count", "--k", "2", "--n", "4", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "count", "--k", "1", "--n", "4")
     assert code == 2

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runwords import core, numerics, oracle
 from runwords.poly import fibonacci_poly
@@ -53,6 +55,12 @@ class TestCountWords:
     )
     def test_values(self, n, k, expected):
         assert core.count_words(n, k) == expected
+
+    def test_large_n_against_fibonacci_loop(self):
+        a, b = 0, 1  # F_0, F_1
+        for _ in range(20002):
+            a, b = b, a + b
+        assert core.count_words(20000, 2) == a  # F_20002
 
     def test_monotone_in_k_capped_by_powers_of_two(self):
         for n in range(0, 15):
@@ -148,3 +156,15 @@ def test_matches_oracle_small():
             assert core.count_words(n, k) == ref.word_count
             assert core.popularity(n, k) == ref.total_ones
             assert core.ones_distribution(n, k).counts == ref.distribution
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=0, max_value=16), k=st.integers(min_value=2, max_value=8))
+def test_coefficient_extraction_matches_oracle(n, k):
+    ref = oracle.enumerate_words(n, k)
+    assert core.count_words(n, k) == ref.word_count
+    assert core.kstep_fibonacci(n + k, k) == ref.word_count
+    assert core.popularity(n, k) == ref.total_ones
+    assert core.ones_distribution(n, k).counts == ref.distribution
+    if n:
+        assert core.alpha(n, k) == Fraction(ref.total_ones, n * ref.word_count)

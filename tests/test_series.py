@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from runwords import core
 from runwords.poly import IntPoly, pk_fraction, tk_fraction
 from runwords.series import (
     check_functional_equation,
+    coefficient,
     expand,
     expand_bivariate,
     expand_bivariate_closed_form,
@@ -44,6 +47,29 @@ class TestExpand:
         for n in range(101):
             assert pk[n] == core.popularity(n, k)
             assert tk[n] == n * core.count_words(n, k)
+
+
+small_ints = st.integers(min_value=-50, max_value=50)
+
+
+class TestCoefficient:
+    @given(
+        numerator=st.lists(small_ints, max_size=16),
+        constant=st.sampled_from((1, -1)),
+        tail=st.lists(small_ints, max_size=12),
+        n=st.integers(min_value=0, max_value=200),
+    )
+    def test_matches_expand(self, numerator, constant, tail, n):
+        p, q = IntPoly(numerator), IntPoly([constant] + tail)
+        assert coefficient(p, q, n) == expand(p, q, n)[n]
+
+    def test_requires_unit_constant_term(self):
+        for denominator in (IntPoly([2, 1]), IntPoly([0, 1])):
+            with pytest.raises(ValueError) as refused:
+                coefficient(IntPoly([1]), denominator, 50)
+            with pytest.raises(ValueError) as expand_refused:
+                expand(IntPoly([1]), denominator, 50)
+            assert str(refused.value) == str(expand_refused.value)
 
 
 class TestBivariate:
