@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Every command is deterministic and supports --format plain|csv|json.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+failure (a refinement that found no certified result, or a root iteration
+that did not converge).
 """
 
 from __future__ import annotations
@@ -275,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # numerics.RootFindingError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exact enumeration of binary words with no run of k consecutive 1s.
 
 Every count is a coefficient of a rational generating function from
-``poly``, taken by ``series``; everything is big-integer / exact-rational
-arithmetic, no floats.
+``poly``, taken by ``series``: the words are -h_k/g_k, the k-step
+Fibonacci numbers -x^(k-1)/g_k, the 1s and bits their derived series.
+Everything is big-integer / exact-rational arithmetic, no floats.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .poly import IntPoly, _check_k, _check_n, fibonacci_poly, pk_fraction, tk_fraction
-from .poly import max_ones  # noqa: F401  (part of this module's interface)
+from .poly import (
+    IntPoly, _check_k, _check_n, fibonacci_poly, pk_fraction, tk_fraction, words_fraction,
+)
 from .series import _closed_form_rows, coefficient
 
 
@@ -35,10 +37,6 @@ class OnesDistribution:
         return 0
 
     @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
     def total_ones(self) -> int:
         return sum(m * c for m, c in enumerate(self.counts))
 
@@ -55,10 +53,14 @@ def kstep_fibonacci(n: int, k: int) -> int:
 
 
 def count_words(n: int, k: int) -> int:
-    """Number of length-n binary words with no k consecutive 1s."""
+    """Number of length-n binary words with no k consecutive 1s: [x^n] -h_k/g_k.
+
+    Equals kstep_fibonacci(n + k, k), the paper's identity, which the
+    ``count`` command checks by taking both coefficients.
+    """
     _check_n(n)
     _check_k(k)
-    return kstep_fibonacci(n + k, k)
+    return coefficient(*words_fraction(k), n)
 
 
 def ones_distribution(n: int, k: int) -> OnesDistribution:

@@ -95,17 +95,6 @@ class Interval:
     def __rtruediv__(self, other) -> "Interval":
         return self._coerce(other) / self
 
-    def __pow__(self, exponent: int) -> "Interval":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"only nonnegative integer powers, got {exponent!r}")
-        if exponent == 0:
-            return Interval.point(1)
-        if exponent % 2 == 1 or self.lo >= 0:
-            return Interval(self.lo**exponent, self.hi**exponent)
-        if self.hi <= 0:
-            return Interval(self.hi**exponent, self.lo**exponent)
-        return Interval(Fraction(0), max(self.lo**exponent, self.hi**exponent))
-
     def round_out(self, bits: int) -> "Interval":
         """Enclosing interval whose endpoints are dyadic with about `bits` significant bits.
 
@@ -118,9 +107,6 @@ class Interval:
         return Interval(
             _round_dyadic(self.lo, bits, up=False), _round_dyadic(self.hi, bits, up=True)
         )
-
-    def reciprocal(self) -> "Interval":
-        return 1 / self
 
     def __abs__(self) -> "Interval":
         if self.lo >= 0:

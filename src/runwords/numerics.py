@@ -31,6 +31,9 @@ GUARD_BITS = 32
 # estimate |p''/p'| (width/2)^2 of the step; a step that falls short
 # anyway fails its certificate and the round bisects.
 NEWTON_SLACK_BITS = 2
+# Largest residual |p(z)| all_roots accepts, and its iteration cap.
+RESIDUAL_TOL = 1e-12
+MAX_ITERATIONS = 1000
 
 
 class RootFindingError(RuntimeError):
@@ -69,7 +72,7 @@ def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Int
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not poly(lo) < 0 < poly(hi):
-        raise ValueError(f"no sign change for {poly} on [{lo}, {hi}]")
+        raise ValueError(f"no sign change for coefficients {poly.coeffs} on [{lo}, {hi}]")
     slope = poly.derivative()
     bend = slope.derivative()
     while hi - lo >= tol:
@@ -117,7 +120,7 @@ def inverse_phi(k: int, precision_digits: int = 15) -> Interval:
     No refinement is needed: x -> 1/x maps an interval [lo, hi] inside
     [1, 2] of width w to one of width w / (lo * hi) <= w.
     """
-    return phi(k, precision_digits).reciprocal()
+    return 1 / phi(k, precision_digits)
 
 
 def limit_value(k: int, precision_digits: int = 15) -> Interval:
@@ -162,8 +165,9 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     def attempt(work: int) -> Interval | None:
         bits = _work_bits(work)
         root = phi(k, work)
-        x = root.reciprocal().round_out(bits)
-        value = (2 * n) * _power(root, n + 2, bits) * f(x) / (2 * g_prime(x) ** 2)
+        x = (1 / root).round_out(bits)
+        slope = g_prime(x)  # g' > 0 on (0, 1), so slope * slope is the exact square
+        value = (2 * n) * _power(root, n + 2, bits) * f(x) / (2 * slope * slope)
         return value if value.width < abs(value).lo * rel_tol else None
 
     return _refine(attempt, precision_digits + GUARD_DIGITS)
@@ -191,18 +195,14 @@ class ComplexRootSet:
     residuals: tuple[float, ...]
 
 
-def all_roots(
-    k: int,
-    residual_tol: float = 1e-12,
-    max_iterations: int = 1000,
-) -> ComplexRootSet:
+def all_roots(k: int) -> ComplexRootSet:
     """All complex roots of x^k - x^(k-1) - ... - x - 1.
 
     Durand-Kerner simultaneous iteration from k points on the circle
     |z| = 1.5 with a fixed rotation offset (deterministic).  Runs in
     40-digit arithmetic so residuals clear the tolerance even where
     float64 cancellation would floor out (|p| ~ 2^k near phi_k).  Fails
-    loudly if residuals do not drop below residual_tol.
+    loudly if residuals do not drop below RESIDUAL_TOL.
     """
     if not isinstance(k, int) or not 2 <= k <= 32:
         raise ValueError(f"need 2 <= k <= 32, got {k!r}")
@@ -213,7 +213,7 @@ def all_roots(
             for j in range(k)
         ]
         tiny = mpmath.mpf(10) ** -35
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             converged = True
             for j in range(k):
                 denom = mpmath.mpc(1)
@@ -228,7 +228,7 @@ def all_roots(
                 break
         residuals = [float(abs(poly(w))) for w in z]
         z = [complex(w) for w in z]
-    if max(residuals) > residual_tol:
+    if max(residuals) > RESIDUAL_TOL:
         raise RootFindingError(
             f"root iteration for k={k} stalled with max residual {max(residuals):.3e}"
         )

@@ -1,6 +1,10 @@
-"""Dense integer-coefficient polynomials and the specific ones we need.
+"""Dense integer-coefficient polynomials and the ones the word counts need.
 
-Degrees stay small (a few times k), so a plain coefficient list is fine.
+The one polynomial typed in is h_k = 1 + x + ... + x^(k-1), a run of
+fewer than k 1s counted by its length.  Every other one is derived from
+it: g_k = x h_k - 1, phi_k's polynomial x^k - h_k, and the numerators of
+the word, 1s and bits generating functions.  Degrees stay small (a few
+times k), so a plain coefficient list is fine.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ class IntPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self[i] + other[i] for i in range(n))
-
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly(self[i] - other[i] for i in range(n))
@@ -92,56 +92,51 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"{'-' if c < 0 else '+'} {body}")
-        return " ".join(parts)
+
+def _x_power(i: int) -> IntPoly:
+    return IntPoly([0] * i + [1])
+
+
+def _h(k: int) -> IntPoly:
+    """h_k = 1 + x + ... + x^(k-1), the polynomial every other one derives from."""
+    _check_k(k)
+    return IntPoly([1] * k)
 
 
 def fibonacci_poly(k: int) -> IntPoly:
-    """x^k + x^(k-1) + ... + x - 1; its smallest-modulus root is 1/phi_k."""
-    _check_k(k)
-    return IntPoly([-1] + [1] * k)
+    """g_k = x h_k - 1 = x^k + ... + x - 1; its smallest-modulus root is 1/phi_k."""
+    return _x_power(1) * _h(k) - _x_power(0)
 
 
 def reciprocal_fibonacci_poly(k: int) -> IntPoly:
-    """x^k - x^(k-1) - ... - x - 1; its largest-modulus root is phi_k."""
-    _check_k(k)
-    return IntPoly([-1] * k + [1])
+    """x^k - h_k = x^k - x^(k-1) - ... - x - 1; its largest-modulus root is phi_k."""
+    return _x_power(k) - _h(k)
+
+
+def words_fraction(k: int) -> tuple[IntPoly, IntPoly]:
+    """Generating function of the word counts, -h_k / g_k.
+
+    A word is a sequence of blocks 1^i 0 (i < k) and a last run 1^i
+    (i < k), so the series is h / (1 - x h) = -h / g.
+    """
+    return IntPoly(()) - _h(k), fibonacci_poly(k)
 
 
 def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
-    """Generating function of the total 1s count, as numerator/denominator.
+    """Generating function of the total 1s count, x h_k' / g_k^2.
 
-    Numerator x * sum_{i=0}^{k-2} (i+1) x^i over the square of the
-    run-constraint polynomial.
+    Marking each 1 by y turns -h/g into h(xy) / (1 - x h(xy)), whose
+    derivative in y at y = 1 is x h' / (1 - x h)^2.
     """
     g = fibonacci_poly(k)
-    numerator = IntPoly([0] + [i + 1 for i in range(k - 1)])
-    return numerator, g * g
+    return _x_power(1) * _h(k).derivative(), g * g
 
 
 def tk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     """Generating function of the total bit count (n times the word count).
 
-    The word counts have generating function -h/g with h = 1 + x + ...
-    + x^(k-1) and g the run-constraint polynomial; termwise x*d/dx turns
-    it into x * (h g' - h' g) over the same squared denominator.
+    Termwise x*d/dx of the word counts p/q = -h/g: x (p' q - p q') / q^2,
+    whose numerator is x (h g' - h' g).
     """
-    g, h = fibonacci_poly(k), IntPoly([1] * k)
-    return IntPoly([0, 1]) * (h * g.derivative() - h.derivative() * g), g * g
+    p, q = words_fraction(k)
+    return _x_power(1) * (p.derivative() * q - p * q.derivative()), q * q

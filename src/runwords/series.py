@@ -2,7 +2,7 @@
 
 Covers the univariate series (random access to one coefficient, and
 prefixes) and the bivariate series counting words by length and number
-of 1s, including the fixed-point check of its defining equation.
+of 1s, from its defining fixed-point equation and from its closed form.
 """
 
 from __future__ import annotations
@@ -137,8 +137,3 @@ def expand_bivariate_closed_form(k: int, max_n: int) -> BivariateTruncation:
     """Same table as ``expand_bivariate``, from the closed-form rational expression."""
     _check_k(k)
     return BivariateTruncation(tuple(islice(_closed_form_rows(k), max_n + 1)))
-
-
-def check_functional_equation(k: int, max_n: int) -> bool:
-    """True iff the closed form and the fixed-point expansion agree."""
-    return expand_bivariate(k, max_n) == expand_bivariate_closed_form(k, max_n)

@@ -7,6 +7,7 @@ pass/fail result so the CLI can emit a machine-readable report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -15,7 +16,7 @@ import mpmath
 
 from . import core, numerics, oracle, series
 from .interval import Interval, render_decimal
-from .poly import pk_fraction, tk_fraction
+from .poly import max_ones, pk_fraction, tk_fraction
 
 # Reference triangle of avoider counts by (ones m, length n), n = 1..9.
 # Rows are m = 0, 1, ...; missing trailing cells are zero.
@@ -79,12 +80,12 @@ def check_oracle_equivalence(n_max: int, ks: Iterable[int]) -> CheckResult:
     return _check("oracle_equivalence", True, f"n<={n_max}, k in {sorted(ks)}")
 
 
-def table1_cells(k: int, n_max: int = 9) -> list[list[int]]:
+def table1_cells(k: int, n_max: int) -> list[list[int]]:
     """Triangle of counts by ones m (rows) and length n = 1..n_max."""
     if type(n_max) is not int or n_max < 1:  # bool is refused too
         raise ValueError(f"need n_max >= 1, got {n_max!r}")
     table = series.expand_bivariate_closed_form(k, n_max)
-    return [[table[n, m] for n in range(1, n_max + 1)] for m in range(core.max_ones(n_max, k) + 1)]
+    return [[table[n, m] for n in range(1, n_max + 1)] for m in range(max_ones(n_max, k) + 1)]
 
 
 def check_table1() -> CheckResult:
@@ -132,15 +133,17 @@ def check_series_consistency(n_max: int, k_max: int) -> CheckResult:
 
 def check_functional_equation(n_max: int, k_max: int) -> CheckResult:
     for k in range(2, k_max + 1):
-        if not series.check_functional_equation(k, n_max):
+        fixed_point = series.expand_bivariate(k, n_max)
+        if series.expand_bivariate_closed_form(k, n_max) != fixed_point:
             return _check("functional_equation", False, f"k={k}")
-        for n, row in enumerate(series.expand_bivariate(k, n_max).table):
+        for n, row in enumerate(fixed_point.table):
             if core.ones_distribution(n, k).counts != row:
                 return _check("functional_equation", False, f"table k={k}, n={n}")
     return _check("functional_equation", True, f"n<={n_max}, k<={k_max}")
 
 
-def check_root_structure(k_max: int = 10) -> CheckResult:
+def check_root_structure() -> CheckResult:
+    k_max = 10
     for k in range(2, k_max + 1):
         roots = numerics.all_roots(k)
         moduli = [abs(r) for r in roots.roots]
@@ -157,11 +160,9 @@ def check_root_structure(k_max: int = 10) -> CheckResult:
     return _check("root_structure", True, f"k=2..{k_max}")
 
 
-def sqrt5_enclosure(digits: int = 40) -> Interval:
-    """Independent oracle for sqrt(5): integer square root at scale."""
-    import math
-
-    scale = 10**digits
+def sqrt5_enclosure() -> Interval:
+    """Independent oracle for sqrt(5): integer square root at scale 10^40."""
+    scale = 10**40
     s = math.isqrt(5 * scale * scale)
     return Interval(Fraction(s, scale), Fraction(s + 1, scale))
 
@@ -194,7 +195,7 @@ def _ratio_gap(k: int, target: str, n: int) -> Interval:
     return abs(estimate / exact - 1)
 
 
-def check_asymptotic_transfer(threshold: float = 0.001) -> CheckResult:
+def check_asymptotic_transfer() -> CheckResult:
     for k in (2, 3):
         for target in ("P", "T"):
             gaps = [_ratio_gap(k, target, n) for n in (100, 200, 400, 800)]
@@ -203,7 +204,7 @@ def check_asymptotic_transfer(threshold: float = 0.001) -> CheckResult:
                     return _check(
                         "asymptotic_transfer", False, f"k={k} {target}: not decreasing"
                     )
-            if not gaps[-1].hi < threshold:
+            if not gaps[-1].hi < 0.001:
                 return _check(
                     "asymptotic_transfer",
                     False,
@@ -212,7 +213,7 @@ def check_asymptotic_transfer(threshold: float = 0.001) -> CheckResult:
     return _check("asymptotic_transfer", True, "k in {2,3}, both series")
 
 
-def check_alpha_convergence(threshold: Fraction = Fraction(2, 10000)) -> CheckResult:
+def check_alpha_convergence() -> CheckResult:
     ns = (50, 100, 200, 400, 800, 1600)
     for k in (2, 3):
         limit = numerics.limit_value(k, 30)
@@ -220,14 +221,15 @@ def check_alpha_convergence(threshold: Fraction = Fraction(2, 10000)) -> CheckRe
         for earlier, later in zip(gaps, gaps[1:]):
             if not later.hi < earlier.lo:
                 return _check("alpha_convergence", False, f"k={k}: not decreasing")
-        if not gaps[-1].hi < threshold:
+        if not gaps[-1].hi < Fraction(2, 10000):
             return _check(
                 "alpha_convergence", False, f"k={k}: gap {float(gaps[-1].hi)} at n=1600"
             )
     return _check("alpha_convergence", True, "k in {2,3}, n up to 1600")
 
 
-def check_corollary(k_max: int = 40) -> CheckResult:
+def check_corollary() -> CheckResult:
+    k_max = 40
     limits = [(k, numerics.limit_value(k, 15)) for k in range(2, k_max + 1)]
     for (_, earlier), (k, later) in zip(limits, limits[1:]):
         if not earlier.hi < later.lo:
@@ -263,7 +265,7 @@ def _mpmath_value(name: str, k: int) -> Fraction:
     return mantissa * Fraction(2) ** exponent
 
 
-def check_enclosure_soundness(trials: int = 100, seed: int = 20240826) -> CheckResult:
+def check_enclosure_soundness() -> CheckResult:
     """Randomized enclosures at two precisions, against each other and against mpmath.
 
     The mpmath value is computed at 2*digits + 10 digits, so it may sit
@@ -271,7 +273,8 @@ def check_enclosure_soundness(trials: int = 100, seed: int = 20240826) -> CheckR
     """
     import random
 
-    rng = random.Random(seed)
+    trials = 100
+    rng = random.Random(20240826)
     for _ in range(trials):
         k = rng.randint(2, 20)
         digits = rng.randint(3, 30)

@@ -1,77 +1,76 @@
 """Acceptance battery: one test per exit criterion, with a printed
 pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`.
+
+Each test runs one entry of ``verify.FULL_CHECKS``, so the battery and
+its arguments are defined once, where ``runwords verify full`` reads them.
 """
 
 import time
 
-import pytest
-
 from runwords import verify
 
-
-def _report(result: verify.CheckResult, budget_seconds: float | None = None,
-            elapsed: float | None = None) -> None:
-    status = "PASS" if result.passed else "FAIL"
-    timing = f"  [{elapsed:.1f}s]" if elapsed is not None else ""
-    print(f"{status}  {result.name}{timing}  {result.detail}")
-    assert result.passed, result.detail
-    if budget_seconds is not None:
-        assert elapsed < budget_seconds, f"{result.name} took {elapsed:.1f}s"
+# Wall-time budget in seconds, by check name.
+BUDGET_SECONDS = {"oracle_equivalence": 60, "table2": 30}
 
 
-def _timed(check):
+def _run(criterion: int) -> None:
     start = time.monotonic()
-    result = check()
-    return result, time.monotonic() - start
+    result = verify.FULL_CHECKS[criterion - 1]()
+    elapsed = time.monotonic() - start
+    status = "PASS" if result.passed else "FAIL"
+    print(f"{status}  {criterion:02d} {result.name}  [{elapsed:.1f}s]  {result.detail}")
+    assert result.passed, result.detail
+    budget = BUDGET_SECONDS.get(result.name)
+    assert budget is None or elapsed < budget, f"{result.name} took {elapsed:.1f}s"
+
+
+def test_battery_has_twelve_criteria():
+    assert len(verify.FULL_CHECKS) == 12
 
 
 def test_criterion_01_oracle_equivalence():
-    result, elapsed = _timed(lambda: verify.check_oracle_equivalence(18, (2, 3, 4, 5)))
-    _report(result, budget_seconds=60, elapsed=elapsed)
+    _run(1)
 
 
 def test_criterion_02_ones_triangle_reproduction():
-    _report(verify.check_table1())
+    _run(2)
 
 
 def test_criterion_03_length4_constants():
-    _report(verify.check_section1_constants())
+    _run(3)
 
 
 def test_criterion_04_limit_table_reproduction():
-    result, elapsed = _timed(verify.check_table2)
-    _report(result, budget_seconds=30, elapsed=elapsed)
+    _run(4)
 
 
 def test_criterion_05_series_consistency():
-    _report(verify.check_series_consistency(100, 6))
+    _run(5)
 
 
 def test_criterion_06_bivariate_consistency():
-    _report(verify.check_functional_equation(30, 6))
+    _run(6)
 
 
 def test_criterion_07_root_structure():
-    _report(verify.check_root_structure(10))
+    _run(7)
 
 
 def test_criterion_08_golden_ratio_case():
-    _report(verify.check_golden_ratio_case())
+    _run(8)
 
 
 def test_criterion_09_asymptotic_transfer():
-    _report(verify.check_asymptotic_transfer(0.001))
+    _run(9)
 
 
 def test_criterion_10_alpha_convergence():
-    from fractions import Fraction
-
-    _report(verify.check_alpha_convergence(Fraction(2, 10000)))
+    _run(10)
 
 
 def test_criterion_11_limit_rises_to_half():
-    _report(verify.check_corollary(40))
+    _run(11)
 
 
 def test_criterion_12_enclosure_soundness():
-    _report(verify.check_enclosure_soundness(100))
+    _run(12)

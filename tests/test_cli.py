@@ -5,6 +5,7 @@ from math import inf
 import mpmath
 import pytest
 
+from runwords import interval, numerics
 from runwords.cli import main
 from runwords.verify import TABLE1_K2, TABLE1_K3, TABLE2_LIMITS
 
@@ -200,6 +201,23 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "count", "--k", "1", "--n", "4")
     assert code == 2
     assert "error" in err
+
+
+def test_refinement_without_a_result_is_an_internal_failure(capsys, monkeypatch):
+    monkeypatch.setattr(interval, "MAX_ROUNDS", 0)
+    code, out, err = run(capsys, "phi", "--k", "2")
+    assert code == 3 and out == ""
+    assert err == "error: no certified result after 0 rounds of refinement\n"
+
+
+def test_root_iteration_failure_is_an_internal_failure(capsys, monkeypatch):
+    def all_roots(k):
+        raise numerics.RootFindingError(f"root iteration for k={k} stalled")
+
+    monkeypatch.setattr(numerics, "all_roots", all_roots)
+    code, out, err = run(capsys, "roots", "--k", "5")
+    assert code == 3 and out == ""
+    assert err == "error: root iteration for k=5 stalled\n"
 
 
 @pytest.mark.parametrize(

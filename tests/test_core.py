@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runwords import core, numerics, oracle
-from runwords.poly import fibonacci_poly
+from runwords.poly import fibonacci_poly, max_ones
 
 
 class TestKStepFibonacci:
@@ -62,6 +62,12 @@ class TestCountWords:
             a, b = b, a + b
         assert core.count_words(20000, 2) == a  # F_20002
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=3000), k=st.integers(min_value=2, max_value=12))
+    def test_kstep_fibonacci_identity(self, n, k):
+        # two different generating functions: -h_k/g_k and -x^(k-1)/g_k
+        assert core.count_words(n, k) == core.kstep_fibonacci(n + k, k)
+
     def test_monotone_in_k_capped_by_powers_of_two(self):
         for n in range(0, 15):
             for k in (2, 3, 4, 5):
@@ -94,8 +100,8 @@ class TestOnesDistribution:
         for k in (2, 3, 4, 5):
             for n in range(0, 16):
                 dist = core.ones_distribution(n, k)
-                assert len(dist.counts) == core.max_ones(n, k) + 1
-                assert dist.total == core.count_words(n, k)
+                assert len(dist.counts) == max_ones(n, k) + 1
+                assert sum(dist.counts) == core.count_words(n, k)
                 assert dist.total_ones == core.popularity(n, k)
 
 

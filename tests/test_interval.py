@@ -45,14 +45,6 @@ class TestIntervalArithmetic:
             Interval(1, 2) / Interval(-1, 1)
         assert 1 / Interval(2, 4) == Interval(Fraction(1, 4), Fraction(1, 2))
 
-    def test_power(self):
-        assert Interval(-2, 3) ** 2 == Interval(0, 9)
-        assert Interval(-2, -1) ** 2 == Interval(1, 4)
-        assert Interval(-2, 3) ** 3 == Interval(-8, 27)
-        assert Interval(2, 3) ** 0 == Interval.point(1)
-        with pytest.raises(ValueError):
-            Interval(1, 2) ** -1
-
     def test_abs(self):
         assert abs(Interval(-3, 2)) == Interval(0, 3)
         assert abs(Interval(-3, -2)) == Interval(2, 3)
@@ -67,7 +59,6 @@ class TestIntervalArithmetic:
                 assert x + y in a + b
                 assert x * y in a * b
                 assert x - y in a - b
-                assert x**5 in a**5
 
 
 class TestDecimalRendering:

@@ -76,7 +76,7 @@ class TestBisectRoot:
 class TestInversePhi:
     def test_golden_case(self):
         enc = numerics.inverse_phi(2, 20)
-        assert 0 in enc - GOLDEN.reciprocal()
+        assert 0 in enc - 1 / GOLDEN
 
     def test_root_of_constraint_poly(self):
         for k in range(2, 14):

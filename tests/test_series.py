@@ -3,9 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from runwords import core
-from runwords.poly import IntPoly, pk_fraction, tk_fraction
+from runwords.poly import IntPoly, max_ones, pk_fraction, tk_fraction
 from runwords.series import (
-    check_functional_equation,
     coefficient,
     expand,
     expand_bivariate,
@@ -102,16 +101,16 @@ class TestBivariate:
     def test_index_bound(self):
         t = expand_bivariate(3, 12)
         for n in range(13):
-            assert len(t.table[n]) <= core.max_ones(n, 3) + 1
+            assert len(t.table[n]) <= max_ones(n, 3) + 1
 
 
 class TestFunctionalEquation:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_closed_form_matches_fixed_point(self, k):
-        assert check_functional_equation(k, 30)
+        assert expand_bivariate_closed_form(k, 30) == expand_bivariate(k, 30)
 
     def test_trivial_constant_term(self):
-        assert check_functional_equation(2, 0)
+        assert expand_bivariate_closed_form(2, 0) == expand_bivariate(2, 0)
 
     def test_closed_form_cells(self):
         t = expand_bivariate_closed_form(2, 9)

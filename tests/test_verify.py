@@ -18,6 +18,6 @@ def test_enclosure_soundness_catches_a_self_consistent_wrong_value(monkeypatch):
         return Interval.point(Fraction(3, 2))
 
     monkeypatch.setattr(numerics, "phi", phi)
-    result = verify.check_enclosure_soundness(trials=10)
+    result = verify.check_enclosure_soundness()
     assert not result.passed
     assert "phi(" in result.detail
