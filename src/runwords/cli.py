@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Every command is deterministic and supports --format plain|csv|json.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
+or a failed identity check of ``count``), 2 usage error, 3 internal
 failure (a refinement that found no certified result, or a root iteration
 that did not converge).
 """
@@ -50,7 +51,7 @@ def cmd_count(args) -> int:
         f"[identity {'ok' if count == fib else 'FAILED'}]"
     )
     _emit(args, plain, [row], row)
-    return 0
+    return 0 if count == fib else 1
 
 
 def cmd_table1(args) -> int:

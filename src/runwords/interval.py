@@ -3,9 +3,11 @@
 Endpoints are ``fractions.Fraction``, so every arithmetic operation is
 exact and the enclosure property is preserved without rounding control:
 the true value of any expression lies inside the computed interval.
-Exact endpoints grow with every product; ``Interval.round_out`` rounds
-them outward to dyadic numbers of bounded size where a computation
-needs only a given relative precision.
+Endpoints do not grow on the hot paths: ``numerics`` computes in
+integer fixed point rounded outward and hands back intervals whose
+endpoints have about as many bits as the digits asked for.  This
+module also renders enclosures as certified decimals, refining them
+until every point rounds to the same digits.
 """
 
 from __future__ import annotations
@@ -71,11 +73,6 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         other = self._coerce(other)
-        if other.lo >= 0:  # sign tests pick the two extreme products
-            return Interval(
-                self.lo * (other.lo if self.lo >= 0 else other.hi),
-                self.hi * (other.hi if self.hi >= 0 else other.lo),
-            )
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -95,19 +92,6 @@ class Interval:
     def __rtruediv__(self, other) -> "Interval":
         return self._coerce(other) / self
 
-    def round_out(self, bits: int) -> "Interval":
-        """Enclosing interval whose endpoints are dyadic with about `bits` significant bits.
-
-        ``lo`` is rounded down and ``hi`` up, so the result contains
-        ``self``; each endpoint moves by less than 2^(1-bits) of its
-        magnitude.
-        """
-        if type(bits) is not int or bits < 1:
-            raise ValueError(f"need bits >= 1, got {bits!r}")
-        return Interval(
-            _round_dyadic(self.lo, bits, up=False), _round_dyadic(self.hi, bits, up=True)
-        )
-
     def __abs__(self) -> "Interval":
         if self.lo >= 0:
             return self
@@ -117,15 +101,6 @@ class Interval:
 
     def __str__(self) -> str:
         return f"[{float(self.lo)}, {float(self.hi)}]"
-
-
-def _round_dyadic(x: Fraction, bits: int, up: bool) -> Fraction:
-    """x rounded down (or up) to a multiple of 2^e, with |x| / 2^e in (2^(bits-1), 2^(bits+1))."""
-    shift = bits - x.numerator.bit_length() + x.denominator.bit_length()
-    num = x.numerator << max(shift, 0)
-    den = x.denominator << max(-shift, 0)
-    q = -(-num // den) if up else num // den
-    return Fraction(q, 1 << shift) if shift >= 0 else Fraction(q << -shift)
 
 
 def round_fraction(x: Fraction, digits: int) -> str:
@@ -138,10 +113,25 @@ def round_fraction(x: Fraction, digits: int) -> str:
     half = Fraction(frac, scaled.denominator)
     if half > Fraction(1, 2) or (half == Fraction(1, 2) and whole % 2 == 1):
         whole += 1
-    int_part, dec_part = divmod(whole, 10**digits)
+    text = _decimal(whole).rjust(digits + 1, "0")
     if digits == 0:
-        return f"{sign}{int_part}"
-    return f"{sign}{int_part}.{dec_part:0{digits}d}"
+        return f"{sign}{text}"
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+# Digits converted at a time: Python refuses to convert an int of more
+# than 4300 digits to a string by default.
+_PIECE = 4000
+_PIECE_SCALE = 10**_PIECE
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n >= 0, converted in pieces of _PIECE digits."""
+    pieces = []
+    while n >= _PIECE_SCALE:
+        n, low = divmod(n, _PIECE_SCALE)
+        pieces.append(f"{low:0{_PIECE}d}")
+    return str(n) + "".join(reversed(pieces))
 
 
 def certified_decimal(enclosure: Interval, digits: int) -> str | None:

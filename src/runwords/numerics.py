@@ -1,12 +1,16 @@
 """Certified numerics: the dominant root, root geometry, asymptotics.
 
 The ground-truth root method is safeguarded Newton iteration on a
-bracket certified by an exact sign change of the integer polynomial:
-Newton steps from dyadic points propose narrower brackets, each kept
-only if the polynomial changes sign across it, and bisection takes over
-when a step fails.  Every enclosure is therefore certified.  Interval
-evaluations round their inputs outward to the working precision, so
-endpoint sizes stay proportional to the digits asked for.  The complex
+bracket certified by a sign change of the integer polynomial: Newton
+steps from dyadic points propose narrower brackets, each kept only if
+the polynomial changes sign across it, and bisection takes over when a
+step fails.  Every enclosure is therefore certified.  Values are
+integer mantissas at a scale 2^-s: a sign is read from the outward-
+rounded fixed-point Horner enclosure (``IntPoly._enclose``) a guard
+above the bracket's scale, and from exact evaluation only when that
+enclosure contains 0.  The limit and the asymptotic coefficient are
+evaluated the same way, at the working precision plus a guard, so
+mantissa sizes stay proportional to the digits asked for.  The complex
 root finder is numerical with residual-based error radii; it backs the
 root-geometry checks, not the certified values.
 """
@@ -17,16 +21,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .interval import Interval, _refine
 from .poly import (
     IntPoly, _check_k, _check_n, fibonacci_poly, pk_fraction, reciprocal_fibonacci_poly, tk_fraction,
 )
 
 GUARD_DIGITS = 10
-# Bits kept beyond the working digits when an enclosure is rounded outward.
-GUARD_BITS = 32
+# Bits kept beyond the working precision in every fixed-point evaluation.
+GUARD_BITS = 64
 # Margin, in bits, between a Newton candidate bracket and the error
 # estimate |p''/p'| (width/2)^2 of the step; a step that falls short
 # anyway fails its certificate and the round bisects.
@@ -46,60 +48,82 @@ def _check_params(k: int, precision_digits: int) -> None:
         raise ValueError(f"need precision_digits >= 1, got {precision_digits!r}")
 
 
-def _log2_inverse(x: Fraction) -> int:
-    """log2(1/x) for x > 0, to within one."""
-    return x.denominator.bit_length() - x.numerator.bit_length()
-
-
 def _work_bits(work: int) -> int:
-    """Significant bits that carry `work` decimal digits, plus a guard."""
+    """Bits after the binary point that carry `work` decimal digits, plus a guard."""
     return math.ceil(work * math.log2(10)) + GUARD_BITS
+
+
+def _sign(poly: IntPoly, m: int, e: int, s: int) -> tuple[int, int]:
+    """Sign of poly(m 2^-e), and the truncated fixed-point value at 2^-s (s >= e).
+
+    The sign comes from the enclosure ``poly._enclose`` where it excludes
+    0, and from exact evaluation otherwise; the value is 0 for m <= 0,
+    outside the enclosure's domain.
+    """
+    lo = hi = 0
+    if m > 0:
+        x = m << (s - e)
+        lo, hi = poly._enclose(x, x, s)
+        if lo > 0 or hi < 0:
+            return (1 if lo > 0 else -1), lo
+    value = poly(Fraction(m, 1 << e))
+    return (value > 0) - (value < 0), lo
 
 
 def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Interval:
     """Enclosure of the root of poly in [lo, hi] to width < tol.
 
-    Requires a sign change poly(lo) < 0 < poly(hi), and keeps one at
-    every step, checked by exact rational evaluation, so the bracket is a
-    certified enclosure at all times.  Each round takes a Newton step
-    from the bracket midpoint.  Newton about doubles the correct bits, so
-    the candidate bracket is the step's result +- 2^-p, with p close to
-    twice the bits of the current width, less the bits of |p''/p'| (but
-    no more than tol needs), rounded outward to dyadic endpoints.  The
-    candidate replaces the bracket only if it is at most half as wide and
-    the polynomial changes sign across it; otherwise the round bisects at
-    the midpoint instead.
+    Requires dyadic ends with poly(lo) < 0 < poly(hi), checked exactly,
+    and keeps a sign change at every step, so the bracket is a certified
+    enclosure at all times.  The bracket is a pair of integer mantissas
+    at a scale 2^-e, and signs come from ``_sign``.  Each round takes a
+    Newton step from the bracket midpoint, with value, slope and
+    curvature in truncated fixed point.  Newton about doubles the
+    correct bits, so the candidate bracket is the step's result +- 2^-p,
+    with p close to twice the bits of the current width, less the bits
+    of |p''/p'| (but no more than tol needs).  The candidate replaces the
+    bracket only if it is at most half as wide and the polynomial changes
+    sign across it; otherwise the round bisects at the midpoint instead.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
     if not poly(lo) < 0 < poly(hi):
         raise ValueError(f"no sign change for coefficients {poly.coeffs} on [{lo}, {hi}]")
+    if any(d & (d - 1) for d in (lo.denominator, hi.denominator)):
+        raise ValueError(f"need dyadic bracket ends, got [{lo}, {hi}]")
+    e = max(lo.denominator, hi.denominator).bit_length() - 1
+    a, b = int(lo * (1 << e)), int(hi * (1 << e))
     slope = poly.derivative()
     bend = slope.derivative()
-    while hi - lo >= tol:
-        width = hi - lo
-        mid = (lo + hi) / 2
-        value = poly(mid)
-        if value == 0:
-            return Interval(mid, mid)
-        derivative = slope(mid)
+    tol_bits = tol.denominator.bit_length() - tol.numerator.bit_length()
+    while (b - a) * tol.denominator >= tol.numerator << e:
+        a, b, e = a << 1, b << 1, e + 1
+        mid = (a + b) >> 1
+        width_bits = e - (b - a).bit_length()  # log2(1/width), to within one
+        w = max(e, 2 * width_bits) + GUARD_BITS
+        sign, value = _sign(poly, mid, e, w)
+        if sign == 0:
+            return Interval.point(Fraction(mid, 1 << e))
+        # Slope and curvature need only about e bits; the value needs 2e.
+        x = mid << GUARD_BITS
+        derivative = slope._enclose(x, x, e + GUARD_BITS)[0] if mid > 0 else 0
         if derivative != 0:
-            curvature_bits = math.ceil(abs(bend(mid) / derivative)).bit_length()
-            p = min(
-                2 * _log2_inverse(width) - curvature_bits - NEWTON_SLACK_BITS,
-                _log2_inverse(tol) + 3,
-            )
-            step = mid - value / derivative
-            eps = Fraction(2) ** -p
-            candidate = Interval(step - eps, step + eps).round_out(max(p, 1) + 2)
-            a, b = max(lo, candidate.lo), min(hi, candidate.hi)
-            if b - a < width / 2 and poly(a) < 0 < poly(b):
-                lo, hi = a, b
+            curvature = abs(bend._enclose(x, x, e + GUARD_BITS)[0])
+            curvature_bits = (-(-curvature // abs(derivative))).bit_length()
+            p = min(2 * width_bits - curvature_bits - NEWTON_SLACK_BITS, tol_bits + 3)
+            q = max(p, e) + 2  # the step's two roundings stay below 2^-p / 2
+            step = (mid << (q - e)) - (value << (q + e + GUARD_BITS - w)) // derivative
+            a2 = max(a << (q - e), step - (1 << (q - p)))
+            b2 = min(b << (q - e), step + (1 << (q - p)))
+            if 0 < 2 * (b2 - a2) < (b - a) << (q - e) and (
+                _sign(poly, a2, q, q + GUARD_BITS)[0] < 0 < _sign(poly, b2, q, q + GUARD_BITS)[0]
+            ):
+                a, b, e = a2, b2, q
                 continue
-        if value < 0:
-            lo = mid
+        if sign < 0:
+            a = mid
         else:
-            hi = mid
-    return Interval(lo, hi)
+            b = mid
+    return Interval(Fraction(a, 1 << e), Fraction(b, 1 << e))
 
 
 def phi(k: int, precision_digits: int = 15) -> Interval:
@@ -123,23 +147,57 @@ def inverse_phi(k: int, precision_digits: int = 15) -> Interval:
     return 1 / phi(k, precision_digits)
 
 
+# Fixed-point enclosures: pairs (lo, hi) of integers that stand for
+# [lo 2^-s, hi 2^-s], each operation rounding lo down and hi up.
+
+def _fixed(x: Interval, s: int) -> tuple[int, int]:
+    return (x.lo.numerator << s) // x.lo.denominator, -((-x.hi.numerator << s) // x.hi.denominator)
+
+
+def _interval(lo: int, hi: int, s: int) -> Interval:
+    return Interval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+
+
+def _mul(x: tuple[int, int], y: tuple[int, int], s: int) -> tuple[int, int]:
+    products = [a * b for a in x for b in y]
+    return min(products) >> s, -(-max(products) >> s)
+
+
+def _div(x: tuple[int, int], y: tuple[int, int], s: int) -> tuple[int, int]:
+    """x / y for y > 0."""
+    (xl, xh), (yl, yh) = x, y
+    if yl <= 0:
+        raise ZeroDivisionError("fixed-point divisor not known to be positive")
+    return (xl << s) // (yh if xl >= 0 else yl), -((-xh << s) // (yl if xh >= 0 else yh))
+
+
+def _power(base: tuple[int, int], exponent: int, s: int) -> tuple[int, int]:
+    """Fixed-point enclosure of base ** exponent, by square-and-multiply."""
+    result = (1 << s, 1 << s)
+    for digit in bin(exponent)[2:]:
+        result = _mul(result, result, s)
+        if digit == "1":
+            result = _mul(result, base, s)
+    return result
+
+
 def limit_value(k: int, precision_digits: int = 15) -> Interval:
     """Limiting expected bit value as word length grows.
 
     The ones and total-bits generating functions share the double pole
     1/phi_k and the denominator g_k^2, so the ratio of their leading
-    coefficients is the ratio of their numerators at x = 1/phi_k.  The
-    root enclosure is refined until the result is narrower than
-    10^-precision_digits.
+    coefficients is the ratio of their numerators at x = 1/phi_k, each
+    evaluated in fixed point rounded outward.  The root enclosure is
+    refined until the result is narrower than 10^-precision_digits.
     """
     _check_params(k, precision_digits)
     ones, bits = pk_fraction(k)[0], tk_fraction(k)[0]
-    tol = Fraction(1, 10**precision_digits)
 
     def attempt(work: int) -> Interval | None:
-        x = inverse_phi(k, work).round_out(_work_bits(work))
-        result = ones(x) / bits(x)
-        return result if result.width < tol else None
+        s = _work_bits(work)
+        x = _fixed(inverse_phi(k, work), s)
+        lo, hi = _div(ones._enclose(*x, s), bits._enclose(*x, s), s)
+        return _interval(lo, hi, s) if (hi - lo) * 10**precision_digits < 1 << s else None
 
     return _refine(attempt, precision_digits + GUARD_DIGITS)
 
@@ -160,31 +218,17 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
         raise ValueError("leading term n * phi^n is meaningless at n=0")
     f = (pk_fraction if target == "P" else tk_fraction)(k)[0]
     g_prime = fibonacci_poly(k).derivative()
-    rel_tol = Fraction(1, 10**precision_digits)
 
     def attempt(work: int) -> Interval | None:
-        bits = _work_bits(work)
-        root = phi(k, work)
-        x = (1 / root).round_out(bits)
-        slope = g_prime(x)  # g' > 0 on (0, 1), so slope * slope is the exact square
-        value = (2 * n) * _power(root, n + 2, bits) * f(x) / (2 * slope * slope)
-        return value if value.width < abs(value).lo * rel_tol else None
+        s = _work_bits(work)
+        root = _fixed(phi(k, work), s)
+        x = _div((1 << s, 1 << s), root, s)
+        slope = g_prime._enclose(*x, s)
+        lo, hi = _div(_mul(_power(root, n + 2, s), f._enclose(*x, s), s), _mul(slope, slope, s), s)
+        lo, hi = n * lo, n * hi
+        return _interval(lo, hi, s) if (hi - lo) * 10**precision_digits < lo else None
 
     return _refine(attempt, precision_digits + GUARD_DIGITS)
-
-
-def _power(base: Interval, exponent: int, bits: int) -> Interval:
-    """Enclosure of base ** exponent for base > 0, rounded outward to `bits` after every product.
-
-    Square-and-multiply keeps every endpoint near `bits` significant
-    bits, where the exact power would have exponent times as many.
-    """
-    result = Interval.point(1)
-    for digit in bin(exponent)[2:]:
-        result = (result * result).round_out(bits)
-        if digit == "1":
-            result = (result * base).round_out(bits)
-    return result
 
 
 @dataclass(frozen=True)
@@ -206,6 +250,8 @@ def all_roots(k: int) -> ComplexRootSet:
     """
     if not isinstance(k, int) or not 2 <= k <= 32:
         raise ValueError(f"need 2 <= k <= 32, got {k!r}")
+    import mpmath  # the complex roots are its only use here, so CLI start-up skips it
+
     poly = reciprocal_fibonacci_poly(k)
     with mpmath.workdps(40):
         z = [

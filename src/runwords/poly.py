@@ -92,6 +92,20 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
+    def _enclose(self, xl: int, xh: int, s: int) -> tuple[int, int]:
+        """Integers lo, hi with lo 2^-s <= p(x) <= hi 2^-s for x in [xl 2^-s, xh 2^-s].
+
+        Fixed-point Horner rounded outward, for 0 < xl <= xh: each product
+        takes the end of [xl, xh] that is extreme for the sign of the
+        accumulator's end, then lo is rounded down and hi up.
+        """
+        lo = hi = 0
+        for c in reversed(self.coeffs):
+            c <<= s
+            lo = (lo * (xl if lo >= 0 else xh) >> s) + c
+            hi = c - (-hi * (xh if hi >= 0 else xl) >> s)
+        return lo, hi
+
 
 def _x_power(i: int) -> IntPoly:
     return IntPoly([0] * i + [1])

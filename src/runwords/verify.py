@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import mpmath
-
 from . import core, numerics, oracle, series
 from .interval import Interval, render_decimal
 from .poly import max_ones, pk_fraction, tk_fraction
@@ -248,6 +246,8 @@ def _mpmath_value(name: str, k: int) -> Fraction:
     written out here, and the limit from its closed form at x = 1/phi_k,
     so nothing is shared with the production path.
     """
+    import mpmath  # the independent referee, loaded only by the checks that use it
+
     if name == "phi":
         value = mpmath.findroot(
             lambda z: z**k - sum(z**i for i in range(k)), (1, 2), solver="anderson"
@@ -272,6 +272,8 @@ def check_enclosure_soundness() -> CheckResult:
     outside an enclosure by no more than 10^-(2*digits + 5).
     """
     import random
+
+    import mpmath
 
     trials = 100
     rng = random.Random(20240826)

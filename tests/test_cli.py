@@ -1,11 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from math import inf
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from runwords import interval, numerics
+from runwords import core, interval, numerics
 from runwords.cli import main
 from runwords.verify import TABLE1_K2, TABLE1_K3, TABLE2_LIMITS
 
@@ -24,6 +29,14 @@ def test_count(capsys):
     assert "= 13" in out
     code, out, _ = run(capsys, "count", "--k", "5", "--n", "0")
     assert "= 1" in out
+
+
+def test_count_exits_1_when_the_identity_fails(capsys, monkeypatch):
+    kstep_fibonacci = core.kstep_fibonacci
+    monkeypatch.setattr(core, "kstep_fibonacci", lambda n, k: kstep_fibonacci(n, k) + 1)
+    code, out, _ = run(capsys, "count", "--k", "2", "--n", "4")
+    assert code == 1
+    assert "[identity FAILED]" in out
 
 
 def test_count_json_roundtrip(capsys):
@@ -149,6 +162,44 @@ def test_certified_digits_match_mpmath(capsys):
             )
             expected.append(f"{k:>3}  {_half_even(limit, 50)}")
     assert out.splitlines() == expected
+
+
+def test_phi_beyond_the_int_to_str_digit_limit(capsys):
+    # Python refuses int-to-str conversions over 4300 digits by default.
+    digits = 5000
+    code, out, _ = run(capsys, "phi", "--k", "2", "--digits", str(digits))
+    assert code == 0
+    # floor(phi 10^(digits+1)) from isqrt; phi is irrational, so no tie
+    scale = 10 ** (digits + 1)
+    floor = (scale + math.isqrt(5 * scale * scale)) // 2
+    nearest = floor // 10 + (floor % 10 >= 5)
+    lines = out.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == ["phi_2", "1/phi_2"]
+    for line, whole in zip(lines, (1, 0)):  # 1/phi = phi - 1
+        integer_part, decimals = line.split(" = ")[1].split(".")
+        assert len(decimals) == digits and int(integer_part) == whole
+        assert _int_from_digits(integer_part + decimals) == nearest - (1 - whole) * 10**digits
+
+
+def _int_from_digits(text: str) -> int:
+    """int(text) in pieces below the int-from-str digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        piece = text[start:start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_import_leaves_mpmath_out():
+    # mpmath is only the root finder's and the checks' referee; the CLI
+    # must start without loading it.
+    src = Path(numerics.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, runwords.cli; print('mpmath' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_popularity(capsys):

@@ -141,22 +141,6 @@ class TestProperties:
             for x in (enclosure.lo, enclosure.mid, enclosure.hi):
                 assert round_fraction(x, digits) == rendered
 
-    @given(
-        st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**40),
-        st.fractions(min_value=0, max_value=10**6, max_denominator=10**40),
-        st.integers(min_value=1, max_value=200),
-    )
-    def test_round_out_encloses_with_short_endpoints(self, lo, width, bits):
-        exact = Interval(lo, lo + width)
-        rounded = exact.round_out(bits)
-        assert exact in rounded
-        for endpoint in (rounded.lo, rounded.hi):
-            assert endpoint.denominator & (endpoint.denominator - 1) == 0  # a power of two
-            mantissa = abs(endpoint.numerator)
-            while mantissa and mantissa % 2 == 0:
-                mantissa //= 2
-            assert mantissa.bit_length() <= bits + 2
-
     @given(intervals_with_point(), intervals_with_point())
     def test_operations_enclose_pointwise_results(self, a_and_x, b_and_y):
         (a, x), (b, y) = a_and_x, b_and_y

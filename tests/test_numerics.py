@@ -72,6 +72,99 @@ class TestBisectRoot:
         with pytest.raises(ValueError):
             numerics.bisect_root(fibonacci_poly(3), Fraction(1), Fraction(2), Fraction(1, 10))
 
+    def test_refuses_a_bracket_end_that_is_not_dyadic(self):
+        with pytest.raises(ValueError, match="dyadic"):
+            numerics.bisect_root(IntPoly([-3, 2]), Fraction(1, 3), Fraction(2), Fraction(1, 10))
+
+    def test_exact_root_at_a_midpoint_is_returned_as_a_point(self):
+        # 2x - 3 vanishes at the first midpoint: the fixed-point enclosure
+        # there is [0, 0], and exact evaluation finds the zero.
+        enc = numerics.bisect_root(IntPoly([-3, 2]), 1, 2, Fraction(1, 10**20))
+        assert enc == Interval.point(Fraction(3, 2))
+
+    def test_exact_evaluation_decides_where_the_enclosure_cannot(self, monkeypatch):
+        # (3x - 4)(x - 1)^40 near 4/3 is about 3^-40 times the distance to
+        # the root, far below the rounding error of fixed-point Horner on
+        # its binomial coefficients, so the certificates fall back.
+        poly = IntPoly([-4, 3])
+        for _ in range(40):
+            poly = poly * IntPoly([-1, 1])
+        exact_calls = []
+        evaluate = IntPoly.__call__
+        monkeypatch.setattr(
+            IntPoly, "__call__", lambda p, x: exact_calls.append(x) or evaluate(p, x)
+        )
+        tol = Fraction(1, 10**30)
+        enc = numerics.bisect_root(poly, Fraction(5, 4), Fraction(2), tol)
+        assert len(exact_calls) > 2  # more than the check of the caller's bracket
+        monkeypatch.undo()
+        assert enc.width < tol
+        assert poly(enc.lo) < 0 < poly(enc.hi)
+        assert Fraction(4, 3) in enc
+
+    @given(
+        st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=61),
+        st.integers(min_value=-(2**60), max_value=2**61),
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=100),
+    )
+    def test_sign_is_the_exact_sign(self, coeffs, m, e, extra):
+        poly = IntPoly(coeffs)
+        value = poly(Fraction(m, 1 << e))
+        assert numerics._sign(poly, m, e, e + extra)[0] == (value > 0) - (value < 0)
+
+
+endpoint_pairs = st.lists(
+    st.integers(min_value=-(2**70), max_value=2**70), min_size=2, max_size=2
+).map(sorted)
+
+
+class TestFixedPoint:
+    @given(st.integers(min_value=0, max_value=100), endpoint_pairs, endpoint_pairs)
+    def test_operations_round_outward(self, s, x, y):
+        def contains(pair, value):
+            return Fraction(pair[0], 1 << s) <= value <= Fraction(pair[1], 1 << s)
+
+        points = [Fraction(a, 1 << s) for a in x], [Fraction(b, 1 << s) for b in y]
+        product, power = numerics._mul(x, y, s), numerics._power((x[1], x[1]), 5, s)
+        assert all(contains(product, a * b) for a in points[0] for b in points[1])
+        if x[1] >= 0:
+            assert contains(power, points[0][1] ** 5)
+        if y[0] > 0:
+            quotient = numerics._div(x, y, s)
+            assert all(contains(quotient, a / b) for a in points[0] for b in points[1])
+
+
+class TestReferee:
+    def test_high_degree_and_many_digits_against_mpmath(self):
+        with mpmath.workdps(1020):
+            root = mpmath.findroot(
+                lambda z: z**200 - sum(z**i for i in range(200)), (1.5, 2), solver="anderson"
+            )
+            phi_ref = _fraction(root)
+        slack = Fraction(1, 10**1015)
+        enc = numerics.phi(200, 1000)
+        assert enc.width < Fraction(1, 10**1000)
+        assert enc.lo - slack <= phi_ref <= enc.hi + slack
+        with mpmath.workdps(2020):
+            x = mpmath.findroot(
+                lambda z: sum(z**i for i in range(1, 14)) - 1, (0, 1), solver="anderson"
+            )
+            k = 13
+            closed = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
+                k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
+            )
+            limit_ref = _fraction(closed)
+        slack = Fraction(1, 10**2015)
+        enc = numerics.limit_value(13, 2000)
+        assert enc.width < Fraction(1, 10**2000)
+        assert enc.lo - slack <= limit_ref <= enc.hi + slack
+
+
+def _fraction(value) -> Fraction:
+    mantissa, exponent = value.man_exp
+    return mantissa * Fraction(2) ** exponent
+
 
 class TestInversePhi:
     def test_golden_case(self):
