@@ -3,8 +3,8 @@
 Every command is deterministic and supports --format plain|csv|json.
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a failed identity check of ``count``), 2 usage error, 3 internal
-failure (a refinement that found no certified result, or a root iteration
-that did not converge).
+failure (a refinement that found no certified result, a root iteration
+that did not converge, or root disks that could not be certified).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
 from . import core, numerics, oracle, poly, series, verify
@@ -125,6 +126,14 @@ def cmd_phi(args) -> int:
     return 0
 
 
+def _bound(radius: float) -> str:
+    """radius to three significant digits, rounded up, so the printed bound still holds."""
+    exact = Decimal(radius)
+    if not exact:
+        return "0"
+    return f"{float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 2), ROUND_CEILING)):.3g}"
+
+
 def cmd_roots(args) -> int:
     roots = numerics.all_roots(args.k)
     rows = [
@@ -133,7 +142,7 @@ def cmd_roots(args) -> int:
             "re": f"{z.real:.15g}",
             "im": f"{z.imag:.15g}",
             "modulus": f"{abs(z):.15g}",
-            "error_radius": f"{radius:.3g}",
+            "error_radius": _bound(radius),
         }
         for z, radius in zip(roots.roots, roots.error_radii)
     ]

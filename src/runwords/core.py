@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .poly import (
-    IntPoly, _check_k, _check_n, fibonacci_poly, pk_fraction, tk_fraction, words_fraction,
+    IntPoly, _bits_numerator, _check_k, _check_n, fibonacci_poly, pk_fraction, words_fraction,
 )
 from .series import _closed_form_rows, coefficient
 
@@ -86,11 +86,12 @@ def alpha(n: int, k: int) -> Fraction:
     """Expected value of a random bit in a random length-n avoider.
 
     Equals popularity / total bit count, the n-th coefficients of
-    ``pk_fraction`` and ``tk_fraction``, always in lowest terms.
-    Undefined at n = 0 (0/0).
+    ``pk_fraction`` and ``tk_fraction``, always in lowest terms; the two
+    share the denominator g_k^2, built once.  Undefined at n = 0 (0/0).
     """
     _check_k(k)
     _check_n(n)
     if n == 0:
         raise ValueError("expected bit value undefined at n=0; need n >= 1")
-    return Fraction(coefficient(*pk_fraction(k), n), coefficient(*tk_fraction(k), n))
+    ones, square = pk_fraction(k)
+    return Fraction(coefficient(ones, square, n), coefficient(_bits_numerator(k), square, n))

@@ -11,19 +11,23 @@ above the bracket's scale, and from exact evaluation only when that
 enclosure contains 0.  The limit and the asymptotic coefficient are
 evaluated the same way, at the working precision plus a guard, so
 mantissa sizes stay proportional to the digits asked for.  The complex
-root finder is numerical with residual-based error radii; it backs the
-root-geometry checks, not the certified values.
+roots are certified too: float Durand-Kerner, one integer fixed-point
+Newton polish, then Smith's disks about the polished doubles, computed
+exactly in Gaussian integers and checked pairwise disjoint, so each
+disk holds exactly one root.  No step uses mpmath.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .interval import Interval, _refine
 from .poly import (
-    IntPoly, _check_k, _check_n, fibonacci_poly, pk_fraction, reciprocal_fibonacci_poly, tk_fraction,
+    IntPoly, _bits_numerator, _check_k, _check_n, _ones_numerator, fibonacci_poly,
+    reciprocal_fibonacci_poly,
 )
 
 GUARD_DIGITS = 10
@@ -33,13 +37,20 @@ GUARD_BITS = 64
 # estimate |p''/p'| (width/2)^2 of the step; a step that falls short
 # anyway fails its certificate and the round bisects.
 NEWTON_SLACK_BITS = 2
-# Largest residual |p(z)| all_roots accepts, and its iteration cap.
-RESIDUAL_TOL = 1e-12
+# Largest k that all_roots takes: a fixed cap, not a time budget.
+MAX_ROOTS_K = 64
+# Sweeps before the float root iteration counts as stalled.
 MAX_ITERATIONS = 1000
+# A float step below this, relative to max(1, |z|), leaves the iteration
+# at double precision (it converges quadratically); an imaginary part
+# below it is rounding noise on a real root.
+SETTLED = 2.0**-26
+# Bits after the binary point of the polishing Newton step.
+POLISH_BITS = 128
 
 
 class RootFindingError(RuntimeError):
-    """Raised when the complex root iteration fails to converge."""
+    """Raised when the complex root iteration stalls or its disks are not certified."""
 
 
 def _check_params(k: int, precision_digits: int) -> None:
@@ -191,7 +202,7 @@ def limit_value(k: int, precision_digits: int = 15) -> Interval:
     refined until the result is narrower than 10^-precision_digits.
     """
     _check_params(k, precision_digits)
-    ones, bits = pk_fraction(k)[0], tk_fraction(k)[0]
+    ones, bits = _ones_numerator(k), _bits_numerator(k)
 
     def attempt(work: int) -> Interval | None:
         s = _work_bits(work)
@@ -216,7 +227,7 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     _check_n(n)
     if n == 0:
         raise ValueError("leading term n * phi^n is meaningless at n=0")
-    f = (pk_fraction if target == "P" else tk_fraction)(k)[0]
+    f = (_ones_numerator if target == "P" else _bits_numerator)(k)
     g_prime = fibonacci_poly(k).derivative()
 
     def attempt(work: int) -> Interval | None:
@@ -233,60 +244,144 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
 
 @dataclass(frozen=True)
 class ComplexRootSet:
+    """The k roots of x^k - h_k, each the centre of a certified disk.
+
+    ``error_radii[j]`` is a Smith radius rounded up to a double: the
+    disks are pairwise disjoint, so each holds exactly one root.
+    """
+
     k: int
     roots: tuple[complex, ...]
     error_radii: tuple[float, ...]
-    residuals: tuple[float, ...]
+
+
+def _gaussian(poly: IntPoly, x: int, y: int, s: int) -> tuple[int, int]:
+    """Real and imaginary parts of 2^(s d) p((x + iy) 2^-s), exactly, d the degree."""
+    re = im = shift = 0
+    for c in reversed(poly.coeffs):
+        re, im = re * x - im * y + (c << shift), re * y + im * x
+        shift += s
+    return re, im
+
+
+def _dyadic(values: list[float]) -> tuple[list[int], int]:
+    """Integers m_i and the least s with values[i] = m_i 2^-s exactly (doubles are dyadic)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    s = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (s - d.bit_length() + 1) for n, d in ratios], s
+
+
+def _iterate(poly: IntPoly, k: int) -> list[complex]:
+    """Durand-Kerner in float64 from k points on |z| = 1.5, rotated off the axes."""
+    z = [1.5 * cmath.exp(1j * math.pi * (2 * j + 0.5) / k) for j in range(k)]
+    for _ in range(MAX_ITERATIONS):
+        settled = True
+        for j in range(k):
+            w = z[j]
+            denom = 1 + 0j
+            for i in range(k):
+                if i != j:
+                    denom *= w - z[i]
+            step = poly(w) / denom
+            z[j] = w - step
+            if not abs(step) <= SETTLED * max(1.0, abs(w)):  # NaN never settles
+                settled = False
+        if settled:
+            return z
+    raise RootFindingError(f"root iteration for k={k} stalled after {MAX_ITERATIONS} sweeps")
+
+
+def _polish(poly: IntPoly, slope: IntPoly, z: complex) -> complex:
+    """One Newton step from z, rounded to the nearest double.
+
+    The value and slope at the double z are exact Gaussian integers and
+    the quotient is truncated at 2^-POLISH_BITS, so the step lands far
+    closer to the root than a double can resolve.  A root that the
+    float iteration left within SETTLED of the real axis starts on it,
+    and the real polynomial keeps it there.
+    """
+    (x, y), s = _dyadic([z.real, z.imag if abs(z.imag) > SETTLED else 0.0])
+    pr, pi = _gaussian(poly, x, y, s)
+    dr, di = _gaussian(slope, x, y, s)
+    # p / p' = (pr + i pi) / ((dr + i di) 2^s), at the scale 2^-f
+    f = max(s, POLISH_BITS)
+    norm = (dr * dr + di * di) << s
+    step_re = ((pr * dr + pi * di) << f) // norm
+    step_im = ((pi * dr - pr * di) << f) // norm
+    return complex(((x << (f - s)) - step_re) / (1 << f), ((y << (f - s)) - step_im) / (1 << f))
+
+
+def _round_up(num: int, den: int) -> float:
+    """Least double r with r^2 >= num / den, or a double just above it."""
+    t = max(0, (den.bit_length() - num.bit_length()) // 2 + 64)
+    q = -(-(num << 2 * t) // den)
+    root = math.isqrt(q)
+    root += root * root < q  # root 2^-t >= sqrt(num / den)
+    radius = root / (1 << t)
+    n, d = radius.as_integer_ratio()
+    return radius if n << t >= root * d else math.nextafter(radius, math.inf)
+
+
+def _smith_radii(poly: IntPoly, roots: list[complex]) -> list[float]:
+    """Smith's radii k |p(z_j) / prod_{i != j} (z_j - z_i)|, rounded up to doubles.
+
+    For monic p of degree k, the disks about the z_j with these radii
+    cover every root, and a connected union of m of them holds exactly
+    m roots (B. T. Smith, J. ACM 17, 1970).  The roots are doubles, so
+    each quotient is computed exactly in Gaussian integers at one scale.
+    """
+    k = len(roots)
+    parts, s = _dyadic([z.real for z in roots] + [z.imag for z in roots])
+    points = list(zip(parts[:k], parts[k:]))
+    radii = []
+    for j, (x, y) in enumerate(points):
+        pr, pi = _gaussian(poly, x, y, s)
+        dr, di = 1, 0
+        for i, (u, v) in enumerate(points):
+            if i != j:
+                a, b = x - u, y - v
+                dr, di = dr * a - di * b, dr * b + di * a
+        norm = dr * dr + di * di
+        if norm == 0:
+            raise RootFindingError(f"root disks for k={k} not certified: two centres coincide")
+        # r^2 = k^2 |p|^2 / |prod|^2 = k^2 (pr^2 + pi^2) / ((dr^2 + di^2) 2^(2s))
+        radii.append(_round_up(k * k * (pr * pr + pi * pi), norm << 2 * s))
+    return radii
+
+
+def _check_disjoint(roots: list[complex], radii: list[float]) -> None:
+    """Raise RootFindingError unless the disks are pairwise disjoint, checked exactly."""
+    k = len(roots)
+    parts, _ = _dyadic([z.real for z in roots] + [z.imag for z in roots] + radii)
+    xs, ys, rs = parts[:k], parts[k:2 * k], parts[2 * k:]
+    for j in range(k):
+        for i in range(j):
+            dx, dy, reach = xs[j] - xs[i], ys[j] - ys[i], rs[j] + rs[i]
+            if not dx * dx + dy * dy > reach * reach:
+                raise RootFindingError(f"root disks for k={k} not certified: disks overlap")
 
 
 def all_roots(k: int) -> ComplexRootSet:
-    """All complex roots of x^k - x^(k-1) - ... - x - 1.
+    """All complex roots of x^k - x^(k-1) - ... - x - 1, in certified disks.
 
-    Durand-Kerner simultaneous iteration from k points on the circle
-    |z| = 1.5 with a fixed rotation offset (deterministic).  Runs in
-    40-digit arithmetic so residuals clear the tolerance even where
-    float64 cancellation would floor out (|p| ~ 2^k near phi_k).  Fails
-    loudly if residuals do not drop below RESIDUAL_TOL.
+    Durand-Kerner in float64 from a rotated circle (deterministic), one
+    Newton polish per root (``_polish``), then Smith's disks about the
+    polished doubles (``_smith_radii``), checked pairwise disjoint
+    exactly, so each disk holds exactly one root.  A disk centred on the
+    real axis is its own mirror image, and the polynomial is real, so
+    its root is real: its imaginary part is exactly 0.  Raises
+    RootFindingError if the iteration stalls or a certificate fails.
     """
-    if not isinstance(k, int) or not 2 <= k <= 32:
-        raise ValueError(f"need 2 <= k <= 32, got {k!r}")
-    import mpmath  # the complex roots are its only use here, so CLI start-up skips it
-
+    if not isinstance(k, int) or not 2 <= k <= MAX_ROOTS_K:
+        raise ValueError(f"need 2 <= k <= {MAX_ROOTS_K}, got {k!r}")
     poly = reciprocal_fibonacci_poly(k)
-    with mpmath.workdps(40):
-        z = [
-            mpmath.mpf("1.5") * mpmath.expjpi(mpmath.mpf(2 * j) / k + mpmath.mpf("0.5") / k)
-            for j in range(k)
-        ]
-        tiny = mpmath.mpf(10) ** -35
-        for _ in range(MAX_ITERATIONS):
-            converged = True
-            for j in range(k):
-                denom = mpmath.mpc(1)
-                for i in range(k):
-                    if i != j:
-                        denom *= z[j] - z[i]
-                step = poly(z[j]) / denom
-                z[j] -= step
-                if abs(step) > tiny * max(1, abs(z[j])):
-                    converged = False
-            if converged:
-                break
-        residuals = [float(abs(poly(w))) for w in z]
-        z = [complex(w) for w in z]
-    if max(residuals) > RESIDUAL_TOL:
-        raise RootFindingError(
-            f"root iteration for k={k} stalled with max residual {max(residuals):.3e}"
-        )
-    deriv = poly.derivative()
-    radii = []
-    for w, res in zip(z, residuals):
-        dp = abs(deriv(w))
-        radii.append(k * res / dp if dp > 0 else float("inf"))
+    slope = poly.derivative()
+    z = [_polish(poly, slope, w) for w in _iterate(poly, k)]
+    radii = _smith_radii(poly, z)
+    _check_disjoint(z, radii)
     order = sorted(range(k), key=lambda j: (z[j].real, z[j].imag))
     return ComplexRootSet(
         k=k,
         roots=tuple(z[j] for j in order),
         error_radii=tuple(radii[j] for j in order),
-        residuals=tuple(residuals[j] for j in order),
     )

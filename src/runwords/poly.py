@@ -136,14 +136,30 @@ def words_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     return IntPoly(()) - _h(k), fibonacci_poly(k)
 
 
+def _ones_numerator(k: int) -> IntPoly:
+    """x h_k', the numerator of ``pk_fraction``."""
+    return _x_power(1) * _h(k).derivative()
+
+
+def _bits_numerator(k: int) -> IntPoly:
+    """x (h_k g_k' - h_k' g_k), the numerator of ``tk_fraction``."""
+    p, q = words_fraction(k)
+    return _x_power(1) * (p.derivative() * q - p * q.derivative())
+
+
+def _g_squared(k: int) -> IntPoly:
+    """g_k^2, the denominator the 1s and bits series share."""
+    g = fibonacci_poly(k)
+    return g * g
+
+
 def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     """Generating function of the total 1s count, x h_k' / g_k^2.
 
     Marking each 1 by y turns -h/g into h(xy) / (1 - x h(xy)), whose
     derivative in y at y = 1 is x h' / (1 - x h)^2.
     """
-    g = fibonacci_poly(k)
-    return _x_power(1) * _h(k).derivative(), g * g
+    return _ones_numerator(k), _g_squared(k)
 
 
 def tk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
@@ -152,5 +168,4 @@ def tk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     Termwise x*d/dx of the word counts p/q = -h/g: x (p' q - p q') / q^2,
     whose numerator is x (h g' - h' g).
     """
-    p, q = words_fraction(k)
-    return _x_power(1) * (p.derivative() * q - p * q.derivative()), q * q
+    return _bits_numerator(k), _g_squared(k)

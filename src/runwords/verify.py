@@ -140,21 +140,47 @@ def check_functional_equation(n_max: int, k_max: int) -> CheckResult:
     return _check("functional_equation", True, f"n<={n_max}, k<={k_max}")
 
 
+def _inside_annulus(x: Fraction, y: Fraction, r: Fraction, k: int) -> bool:
+    """Whether the disk |z - c| <= r, c = x + iy, lies in 3^(-1/k) < |z| < 1, exactly.
+
+    That is r < |c|, (|c| + r)^2 < 1 and 9 (|c| - r)^(2k) > 1.  With
+    s = |c|^2, the power is a + b sqrt(s) for rationals a, b, and the
+    sign of 9a - 1 + 9b sqrt(s) follows from comparing squares.
+    """
+    s = x * x + y * y
+    if not (r * r < s and r < 1 and s < (1 - r) ** 2):
+        return False
+    a, b = Fraction(1), Fraction(0)
+    for _ in range(2 * k):  # (a + b sqrt(s)) (sqrt(s) - r)
+        a, b = b * s - a * r, a - b * r
+    a, b = 9 * a - 1, 9 * b
+    return (a > 0 or b * b * s > a * a) and (b > 0 or a * a > b * b * s)
+
+
 def check_root_structure() -> CheckResult:
+    """Smith disks of the roots, exactly: pairwise disjoint, so each holds
+    one root; the largest meets the certified phi_k enclosure, and every
+    other one lies in the annulus 3^(-1/k) < |z| < 1."""
     k_max = 10
     for k in range(2, k_max + 1):
         roots = numerics.all_roots(k)
-        moduli = [abs(r) for r in roots.roots]
-        dominant = max(moduli)
-        target = float(numerics.phi(k, 12).mid)
-        if abs(dominant - target) > 1e-9:
-            return _check("root_structure", False, f"k={k}: dominant {dominant} vs {target}")
-        inner = 3.0 ** (-1.0 / k)
-        for mod in moduli:
-            if mod == dominant:
-                continue
-            if not (inner - 1e-9 < mod < 1 + 1e-9):
-                return _check("root_structure", False, f"k={k}: |r|={mod} outside annulus")
+        disks = [
+            (Fraction(z.real), Fraction(z.imag), Fraction(r))
+            for z, r in zip(roots.roots, roots.error_radii)
+        ]
+        for i, (x, y, r) in enumerate(disks):
+            for u, v, t in disks[:i]:
+                if not (x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2:
+                    return _check("root_structure", False, f"k={k}: root disks overlap")
+        dominant = max(disks, key=lambda disk: disk[0] ** 2 + disk[1] ** 2)
+        x, y, r = dominant
+        target = numerics.phi(k, 15)
+        gap = max(target.lo - x, x - target.hi, 0)
+        if not gap * gap + y * y <= r * r:
+            return _check("root_structure", False, f"k={k}: dominant disk misses phi_{k}")
+        for disk in disks:
+            if disk is not dominant and not _inside_annulus(*disk, k):
+                return _check("root_structure", False, f"k={k}: a disk leaves the annulus")
     return _check("root_structure", True, f"k=2..{k_max}")
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from fractions import Fraction
 from math import inf
 from pathlib import Path
 
@@ -191,8 +192,8 @@ def _int_from_digits(text: str) -> int:
 
 
 def test_import_leaves_mpmath_out():
-    # mpmath is only the root finder's and the checks' referee; the CLI
-    # must start without loading it.
+    # mpmath is only the checks' referee; the CLI must start without
+    # loading it.
     src = Path(numerics.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", "import sys, runwords.cli; print('mpmath' in sys.modules)"],
@@ -200,6 +201,23 @@ def test_import_leaves_mpmath_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_roots_run_without_mpmath():
+    # The root path is float iteration, integer polish and exact disks:
+    # with mpmath made unimportable, roots --k 32 still succeeds.
+    src = Path(numerics.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from runwords.cli import main\n"
+        "sys.exit(main(['roots', '--k', '32']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 32
 
 
 def test_popularity(capsys):
@@ -224,6 +242,20 @@ def test_roots(capsys):
     rows = json.loads(out)
     moduli = sorted(float(row["modulus"]) for row in rows)
     assert abs(moduli[1] - 1.618033988749895) < 1e-9
+
+
+def test_roots_error_radius_is_rounded_up(capsys):
+    # The printed bound is the certified radius rounded up, never down,
+    # where rounding to nearest would print a smaller one.
+    rounded_up = 0
+    for k in (3, 17, 32):
+        code, out, _ = run(capsys, "roots", "--k", str(k), "--format", "json")
+        radii = numerics.all_roots(k).error_radii
+        printed = [row["error_radius"] for row in json.loads(out)]
+        assert code == 0 and len(printed) == k
+        assert all(Fraction(text) >= Fraction(r) for text, r in zip(printed, radii))
+        rounded_up += sum(text != f"{r:.3g}" for text, r in zip(printed, radii))
+    assert rounded_up > 0
 
 
 def test_determinism(capsys):

@@ -1,4 +1,7 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -256,11 +259,52 @@ class TestAllRoots:
         assert abs(moduli[1] - golden) < 1e-12
         assert abs(moduli[0] - 1 / golden) < 1e-12
 
-    def test_residuals_certified(self):
-        for k in (2, 5, 10, 20, 32):
+    def test_disks_certified(self):
+        for k in (2, 5, 10, 20, 32, 64):
             roots = numerics.all_roots(k)
             assert len(roots.roots) == k
-            assert max(roots.residuals) < 1e-12
+            assert max(roots.error_radii) < 1e-13
+            for j, i in combinations(range(k), 2):
+                distance = Fraction(roots.roots[j].real - roots.roots[i].real) ** 2 + Fraction(
+                    roots.roots[j].imag - roots.roots[i].imag
+                ) ** 2
+                assert distance > (Fraction(roots.error_radii[j]) + Fraction(roots.error_radii[i])) ** 2
+
+    def test_radii_are_smith_radii_rounded_up(self):
+        # Smith's radius k |p(z_j) / prod_{i != j} (z_j - z_i)|, squared, in
+        # Gaussian rationals written out here: each radius is at least it,
+        # and above it by no more than the last bits of a double.
+        for k in (3, 8, 17):
+            roots = numerics.all_roots(k)
+            points = [(Fraction(z.real), Fraction(z.imag)) for z in roots.roots]
+            for j, (x, y) in enumerate(points):
+                value = (Fraction(0), Fraction(0))
+                for c in reversed(reciprocal_fibonacci_poly(k).coeffs):
+                    value = (value[0] * x - value[1] * y + c, value[0] * y + value[1] * x)
+                product = (Fraction(1), Fraction(0))
+                for u, v in points[:j] + points[j + 1:]:
+                    a, b = x - u, y - v
+                    product = (product[0] * a - product[1] * b, product[0] * b + product[1] * a)
+                exact = k * k * (value[0] ** 2 + value[1] ** 2) / (product[0] ** 2 + product[1] ** 2)
+                radius = Fraction(roots.error_radii[j]) ** 2
+                assert exact <= radius <= exact * (1 + Fraction(1, 2**50))
+
+    def test_real_roots_lie_on_the_axis(self):
+        # phi_k, and for even k one negative root (Descartes' rule of signs)
+        for k in range(2, 13):
+            real = [z for z in numerics.all_roots(k).roots if z.imag == 0]
+            assert len(real) == (2 if k % 2 == 0 else 1)
+            assert all(math.copysign(1, z.imag) == 1 for z in real)  # 0, never -0
+
+    def test_touching_disks_are_not_disjoint(self):
+        with pytest.raises(numerics.RootFindingError, match="overlap"):
+            numerics._check_disjoint([0j, 1 + 0j], [0.5, 0.5])
+        numerics._check_disjoint([0j, 1 + 0j], [0.5, math.nextafter(0.5, 0)])
+
+    def test_stalled_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_ITERATIONS", 1)
+        with pytest.raises(numerics.RootFindingError, match="stalled"):
+            numerics.all_roots(5)
 
     def test_dominant_root_matches_bisection(self):
         for k in range(2, 11):
@@ -282,9 +326,54 @@ class TestAllRoots:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            numerics.all_roots(33)
+            numerics.all_roots(65)
         with pytest.raises(ValueError):
             numerics.all_roots(1)
+
+
+@lru_cache(maxsize=None)
+def _mpmath_roots(k: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The roots from mpmath.polyroots at 50 digits, as exact rationals."""
+    with mpmath.workdps(50):
+        roots = map(mpmath.mpc, mpmath.polyroots([1] + [-1] * k, maxsteps=100, extraprec=50))
+        return tuple((_exact(z.real), _exact(z.imag)) for z in roots)
+
+
+def _exact(value) -> Fraction:
+    sign, mantissa, exponent, _ = value._mpf_
+    return (-1) ** sign * int(mantissa) * Fraction(2) ** exponent
+
+
+def _columns(z: complex, real: bool) -> tuple[str, str, str]:
+    """re, im (or "real") and modulus as `roots` formats them."""
+    return f"{z.real:.15g}", "real" if real else f"{z.imag:.15g}", f"{abs(z):.15g}"
+
+
+class TestRootReferee:
+    """The certified roots against mpmath.polyroots, used only as a referee."""
+
+    @pytest.mark.parametrize("k", [*range(2, 33), 48, 64])
+    def test_each_mpmath_root_in_exactly_one_disk(self, k):
+        roots = numerics.all_roots(k)
+        disks = [
+            (Fraction(z.real), Fraction(z.imag), Fraction(r))
+            for z, r in zip(roots.roots, roots.error_radii)
+        ]
+        for x, y in _mpmath_roots(k):
+            inside = [(x - u) ** 2 + (y - v) ** 2 <= r * r for u, v, r in disks]
+            assert inside.count(True) == 1
+
+    @pytest.mark.parametrize("k", range(2, 33))
+    def test_printed_columns_are_mpmaths_rounded_doubles(self, k):
+        # mpmath's roots rounded to the nearest doubles (float of a Fraction
+        # rounds correctly), then formatted as `roots` formats its own
+        ours = sorted(_columns(z, z.imag == 0) for z in numerics.all_roots(k).roots)
+        theirs = sorted(
+            # a root is real when mpmath's imaginary part is below its accuracy
+            _columns(complex(float(x), float(y)), abs(y) < Fraction(1, 10**40))
+            for x, y in _mpmath_roots(k)
+        )
+        assert ours == theirs
 
 
 class TestCoprimalitySpotCheck:
