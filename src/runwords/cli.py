@@ -94,8 +94,9 @@ def cmd_alpha_series(args) -> int:
     limit_decimal = render_decimal(
         lambda work: numerics.limit_value(args.k, work), args.digits
     )
-    pk = series.expand(*poly.pk_fraction(args.k), args.n_max)
-    tk = series.expand(*poly.tk_fraction(args.k), args.n_max)
+    bits, square = poly.tk_fraction(args.k)  # the 1s series shares g_k^2
+    pk = series.expand(poly._ones_numerator(args.k), square, args.n_max)
+    tk = series.expand(bits, square, args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):
         a = Fraction(pk[n], tk[n])

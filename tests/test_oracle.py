@@ -1,6 +1,6 @@
 import pytest
 
-from runwords import oracle
+from runwords import core, oracle
 
 B4_NO_11 = ["0000", "0001", "0010", "0100", "0101", "1000", "1001", "1010"]
 B4_NO_111 = [
@@ -47,6 +47,35 @@ def test_list_words_sorted_and_counted():
             assert words == sorted(words)
             assert len(words) == oracle.enumerate_words(n, k).word_count
             assert all("1" * k not in w for w in words)
+
+
+def _all_words(n):
+    """Every length-n word as a 0/1 string, one integer at a time."""
+    return [format(w, f"0{n}b") if n else "" for w in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_enumerate_matches_naive_string_scan(n):
+    words = _all_words(n)
+    for k in range(2, n + 3):
+        avoiders = [w for w in words if "1" * k not in w]
+        distribution = [0] * (n + 1)
+        for w in avoiders:
+            distribution[w.count("1")] += 1
+        r = oracle.enumerate_words(n, k)
+        assert r.word_count == len(avoiders)
+        assert r.total_ones == sum(w.count("1") for w in avoiders)
+        assert list(r.distribution) + [0] * (n + 1 - len(r.distribution)) == distribution
+        if n <= 12:
+            assert oracle.list_words(n, k) == avoiders
+
+
+def test_enumerate_reaches_its_budget():
+    n = oracle.ENUMERATE_MAX_N
+    r = oracle.enumerate_words(n, 2)
+    assert r.word_count == core.count_words(n, 2)
+    assert r.total_ones == core.popularity(n, 2)
+    assert r.distribution == core.ones_distribution(n, 2).counts
 
 
 def test_budgets_enforced():
