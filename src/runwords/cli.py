@@ -4,7 +4,8 @@ Every command is deterministic and supports --format plain|csv|json.
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a failed identity check of ``count``), 2 usage error, 3 internal
 failure (a refinement that found no certified result, a root iteration
-that did not converge, or root disks that could not be certified).
+that did not converge, root disks that could not be certified, or
+``verify full`` without mpmath, its independent referee).
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # numerics.RootFindingError included
+    except (RuntimeError, ImportError) as exc:  # RootFindingError; mpmath missing
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -7,10 +7,11 @@ the polynomial changes sign across it, and bisection takes over when a
 step fails.  Every enclosure is therefore certified.  Values are
 integer mantissas at a scale 2^-s: a sign is read from the outward-
 rounded fixed-point Horner enclosure (``IntPoly._enclose``) a guard
-above the bracket's scale, and from exact evaluation only when that
-enclosure contains 0.  The limit and the asymptotic coefficient are
-evaluated the same way, at the working precision plus a guard, so
-mantissa sizes stay proportional to the digits asked for.  The complex
+above the bracket's scale, and from exact integer evaluation only when
+that enclosure contains 0.  The limit and the asymptotic coefficient are
+rational functions of phi_k, evaluated the same way on its enclosure at
+the working precision plus a guard, so mantissa sizes stay proportional
+to the digits asked for.  The complex
 roots are certified too: float Durand-Kerner, one integer fixed-point
 Newton polish, then Smith's disks about the polished doubles, computed
 exactly in Gaussian integers and checked pairwise disjoint, so each
@@ -25,10 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .interval import Interval, _refine
-from .poly import (
-    IntPoly, _bits_numerator, _check_k, _check_n, _ones_numerator, fibonacci_poly,
-    reciprocal_fibonacci_poly,
-)
+from .poly import IntPoly, _check_k, _check_n, reciprocal_fibonacci_poly
 
 GUARD_DIGITS = 10
 # Bits kept beyond the working precision in every fixed-point evaluation.
@@ -68,16 +66,15 @@ def _sign(poly: IntPoly, m: int, e: int, s: int) -> tuple[int, int]:
     """Sign of poly(m 2^-e), and the truncated fixed-point value at 2^-s (s >= e).
 
     The sign comes from the enclosure ``poly._enclose`` where it excludes
-    0, and from exact evaluation otherwise; the value is 0 for m <= 0,
-    outside the enclosure's domain.
+    0, and otherwise from the exact integer 2^(e d) poly(m 2^-e), d the
+    degree; the value is 0 for m <= 0, outside the enclosure's domain.
     """
-    lo = hi = 0
+    lo = 0
     if m > 0:
-        x = m << (s - e)
-        lo, hi = poly._enclose(x, x, s)
+        lo, hi = poly._enclose(m << (s - e), s)
         if lo > 0 or hi < 0:
             return (1 if lo > 0 else -1), lo
-    value = poly(Fraction(m, 1 << e))
+    value = _gaussian(poly, m, 0, e)[0]
     return (value > 0) - (value < 0), lo
 
 
@@ -101,8 +98,7 @@ def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Int
         raise ValueError(f"no sign change for coefficients {poly.coeffs} on [{lo}, {hi}]")
     if any(d & (d - 1) for d in (lo.denominator, hi.denominator)):
         raise ValueError(f"need dyadic bracket ends, got [{lo}, {hi}]")
-    e = max(lo.denominator, hi.denominator).bit_length() - 1
-    a, b = int(lo * (1 << e)), int(hi * (1 << e))
+    (a, b), e = _dyadic([lo, hi])
     slope = poly.derivative()
     bend = slope.derivative()
     tol_bits = tol.denominator.bit_length() - tol.numerator.bit_length()
@@ -113,12 +109,12 @@ def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Int
         w = max(e, 2 * width_bits) + GUARD_BITS
         sign, value = _sign(poly, mid, e, w)
         if sign == 0:
-            return Interval.point(Fraction(mid, 1 << e))
+            return _interval(mid, mid, e)
         # Slope and curvature need only about e bits; the value needs 2e.
         x = mid << GUARD_BITS
-        derivative = slope._enclose(x, x, e + GUARD_BITS)[0] if mid > 0 else 0
+        derivative = slope._enclose(x, e + GUARD_BITS)[0] if mid > 0 else 0
         if derivative != 0:
-            curvature = abs(bend._enclose(x, x, e + GUARD_BITS)[0])
+            curvature = abs(bend._enclose(x, e + GUARD_BITS)[0])
             curvature_bits = (-(-curvature // abs(derivative))).bit_length()
             p = min(2 * width_bits - curvature_bits - NEWTON_SLACK_BITS, tol_bits + 3)
             q = max(p, e) + 2  # the step's two roundings stay below 2^-p / 2
@@ -134,7 +130,7 @@ def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Int
             a = mid
         else:
             b = mid
-    return Interval(Fraction(a, 1 << e), Fraction(b, 1 << e))
+    return _interval(a, b, e)
 
 
 def phi(k: int, precision_digits: int = 15) -> Interval:
@@ -192,22 +188,33 @@ def _power(base: tuple[int, int], exponent: int, s: int) -> tuple[int, int]:
     return result
 
 
+def _limit(k: int, root: tuple[int, int], s: int) -> tuple[int, int]:
+    """Fixed-point L_k = (k phi - 2k + 1) / ((k + 1) phi - 2k) for phi in ``root``."""
+    (lo, hi), one = root, 1 << s
+    return _div((k * lo - (2 * k - 1) * one, k * hi - (2 * k - 1) * one),
+                ((k + 1) * lo - 2 * k * one, (k + 1) * hi - 2 * k * one), s)
+
+
 def limit_value(k: int, precision_digits: int = 15) -> Interval:
     """Limiting expected bit value as word length grows.
 
-    The ones and total-bits generating functions share the double pole
-    1/phi_k and the denominator g_k^2, so the ratio of their leading
-    coefficients is the ratio of their numerators at x = 1/phi_k, each
-    evaluated in fixed point rounded outward.  The root enclosure is
-    refined until the result is narrower than 10^-precision_digits.
+    The 1s and bits series x h'/g^2 and x (h g' - h' g)/g^2 (h = h_k,
+    g = g_k = x h - 1) share the double pole x = 1/phi_k, so the limit is
+    their numerators' ratio x h'/g' there.  At the pole x h = 1 (g = 0)
+    and x^k = 2 - phi, phi = phi_k, since phi^k (2 - phi) = 1 follows from
+    (phi - 1)(phi^k - h(phi)) = phi^(k+1) - 2 phi^k + 1 = 0.  So with
+    h = (1 - x^k)/(1 - x), x h' = phi (k phi - 2k + 1)/(phi - 1) and
+    g' = h + x h' = phi ((k + 1) phi - 2k)/(phi - 1), and the limit is
+    L_k = (k phi - 2k + 1) / ((k + 1) phi - 2k).  Its denominator is
+    2 - (k + 1)/phi^k > 1/2, as phi^k = h(phi) > k.  It is evaluated in
+    fixed point rounded outward on phi_k's enclosure, refined until the
+    result is narrower than 10^-precision_digits.
     """
     _check_params(k, precision_digits)
-    ones, bits = _ones_numerator(k), _bits_numerator(k)
 
     def attempt(work: int) -> Interval | None:
         s = _work_bits(work)
-        x = _fixed(inverse_phi(k, work), s)
-        lo, hi = _div(ones._enclose(*x, s), bits._enclose(*x, s), s)
+        lo, hi = _limit(k, _fixed(phi(k, work), s), s)
         return _interval(lo, hi, s) if (hi - lo) * 10**precision_digits < 1 << s else None
 
     return _refine(attempt, precision_digits + GUARD_DIGITS)
@@ -216,10 +223,11 @@ def limit_value(k: int, precision_digits: int = 15) -> Interval:
 def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 15) -> Interval:
     """Leading-term estimate of the n-th series coefficient.
 
-    The dominant singularity 1/phi_k is a double pole of both series, so
-    the coefficient grows like 2 n phi^(n+2) f(1/phi) / (g^2)''(1/phi),
-    with (g^2)'' = 2 (g')^2 at the root of g.  Returned as an enclosure
-    with relative width below 10^-precision_digits.
+    The dominant singularity 1/phi_k is a double pole of both series f/g^2,
+    so the coefficient grows like n phi^(n+2) f(1/phi) / g'(1/phi)^2.  With
+    ``limit_value``'s g', the bits' f = x h g' = g' gives n phi^(n+1) (phi - 1)
+    / ((k + 1) phi - 2k) = n phi^(n+1) (1 - L_k), and the 1s' f = x h' = L_k g'
+    that times L_k.  Returned with relative width below 10^-precision_digits.
     """
     _check_params(k, precision_digits)
     if target not in ("P", "T"):
@@ -227,16 +235,15 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     _check_n(n)
     if n == 0:
         raise ValueError("leading term n * phi^n is meaningless at n=0")
-    f = (_ones_numerator if target == "P" else _bits_numerator)(k)
-    g_prime = fibonacci_poly(k).derivative()
 
     def attempt(work: int) -> Interval | None:
         s = _work_bits(work)
         root = _fixed(phi(k, work), s)
-        x = _div((1 << s, 1 << s), root, s)
-        slope = g_prime._enclose(*x, s)
-        lo, hi = _div(_mul(_power(root, n + 2, s), f._enclose(*x, s), s), _mul(slope, slope, s), s)
-        lo, hi = n * lo, n * hi
+        limit = _limit(k, root, s)
+        term = _mul(_power(root, n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
+        if target == "P":
+            term = _mul(term, limit, s)
+        lo, hi = n * term[0], n * term[1]
         return _interval(lo, hi, s) if (hi - lo) * 10**precision_digits < lo else None
 
     return _refine(attempt, precision_digits + GUARD_DIGITS)
@@ -264,8 +271,8 @@ def _gaussian(poly: IntPoly, x: int, y: int, s: int) -> tuple[int, int]:
     return re, im
 
 
-def _dyadic(values: list[float]) -> tuple[list[int], int]:
-    """Integers m_i and the least s with values[i] = m_i 2^-s exactly (doubles are dyadic)."""
+def _dyadic(values: list) -> tuple[list[int], int]:
+    """Integers m_i and the least s with values[i] = m_i 2^-s exactly (values dyadic)."""
     ratios = [v.as_integer_ratio() for v in values]
     s = max(d.bit_length() for _, d in ratios) - 1
     return [n << (s - d.bit_length() + 1) for n, d in ratios], s

@@ -4,13 +4,14 @@ The one polynomial typed in is h_k = 1 + x + ... + x^(k-1), a run of
 fewer than k 1s counted by its length.  Every other one is derived from
 it: g_k = x h_k - 1, phi_k's polynomial x^k - h_k, and the numerators of
 the word, 1s and bits generating functions.  Degrees stay small (a few
-times k), so a plain coefficient list is fine.
+times k), so a plain coefficient list is fine.  Evaluation is one Horner
+loop over whatever numbers it is given, and ``_enclose`` is its outward-
+rounded integer fixed-point form at one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 # ``type(...) is int`` refuses bool, which isinstance would let through.
@@ -75,35 +76,24 @@ class IntPoly:
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, complex, Interval.
-
-        A Fraction n/d is evaluated in integers, as d^degree p(n/d), and
-        reduced once at the end.
-        """
-        if isinstance(x, Fraction):
-            n, d = x.numerator, x.denominator
-            acc, scale = 0, 1
-            for c in reversed(self.coeffs):
-                acc = acc * n + c * scale
-                scale *= d
-            return Fraction(acc, scale // d) if self.coeffs else Fraction(0)
+        """Horner evaluation; works for int, Fraction, complex, Interval."""
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def _enclose(self, xl: int, xh: int, s: int) -> tuple[int, int]:
-        """Integers lo, hi with lo 2^-s <= p(x) <= hi 2^-s for x in [xl 2^-s, xh 2^-s].
+    def _enclose(self, x: int, s: int) -> tuple[int, int]:
+        """Integers lo, hi with lo 2^-s <= p(x 2^-s) <= hi 2^-s, for x >= 0.
 
-        Fixed-point Horner rounded outward, for 0 < xl <= xh: each product
-        takes the end of [xl, xh] that is extreme for the sign of the
-        accumulator's end, then lo is rounded down and hi up.
+        Fixed-point Horner rounded outward: x >= 0 keeps the order of the
+        accumulator's ends, so each product is rounded down for lo and up
+        for hi.
         """
         lo = hi = 0
         for c in reversed(self.coeffs):
             c <<= s
-            lo = (lo * (xl if lo >= 0 else xh) >> s) + c
-            hi = c - (-hi * (xh if hi >= 0 else xl) >> s)
+            lo = (lo * x >> s) + c
+            hi = c - (-hi * x >> s)
         return lo, hi
 
 

@@ -203,21 +203,36 @@ def test_import_leaves_mpmath_out():
     assert done.stdout.strip() == "False"
 
 
-def test_roots_run_without_mpmath():
-    # The root path is float iteration, integer polish and exact disks:
-    # with mpmath made unimportable, roots --k 32 still succeeds.
+def _run_without_mpmath(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter where mpmath cannot be imported."""
     src = Path(numerics.__file__).resolve().parents[1]
     code = (
         "import sys; sys.modules['mpmath'] = None\n"
         "from runwords.cli import main\n"
-        "sys.exit(main(['roots', '--k', '32']))"
+        f"sys.exit(main({list(argv)!r}))"
     )
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_roots_run_without_mpmath():
+    # The root path is float iteration, integer polish and exact disks:
+    # with mpmath made unimportable, roots --k 32 still succeeds.
+    done = _run_without_mpmath("roots", "--k", "32")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 32
+
+
+def test_verify_full_without_mpmath_is_a_one_line_internal_failure():
+    # verify full takes mpmath as its independent referee: without it the
+    # battery cannot run, which is exit 3, not a verification failure.
+    done = _run_without_mpmath("verify", "full")
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "mpmath" in done.stderr
 
 
 def test_popularity(capsys):

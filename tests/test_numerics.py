@@ -88,18 +88,19 @@ class TestBisectRoot:
     def test_exact_evaluation_decides_where_the_enclosure_cannot(self, monkeypatch):
         # (3x - 4)(x - 1)^40 near 4/3 is about 3^-40 times the distance to
         # the root, far below the rounding error of fixed-point Horner on
-        # its binomial coefficients, so the certificates fall back.
+        # its binomial coefficients, so the certificates fall back to the
+        # exact integer evaluation.
         poly = IntPoly([-4, 3])
         for _ in range(40):
             poly = poly * IntPoly([-1, 1])
         exact_calls = []
-        evaluate = IntPoly.__call__
+        evaluate = numerics._gaussian
         monkeypatch.setattr(
-            IntPoly, "__call__", lambda p, x: exact_calls.append(x) or evaluate(p, x)
+            numerics, "_gaussian", lambda *args: exact_calls.append(args) or evaluate(*args)
         )
         tol = Fraction(1, 10**30)
         enc = numerics.bisect_root(poly, Fraction(5, 4), Fraction(2), tol)
-        assert len(exact_calls) > 2  # more than the check of the caller's bracket
+        assert exact_calls
         monkeypatch.undo()
         assert enc.width < tol
         assert poly(enc.lo) < 0 < poly(enc.hi)
@@ -210,7 +211,7 @@ class TestLimitValue:
         # twice the digits, and the limit in closed form at x = 1/phi_k.
         digits = 30
         with mpmath.workdps(2 * digits):
-            for k in range(2, 41):
+            for k in [*range(2, 41), 64, 200]:
                 root = mpmath.findroot(
                     lambda z: z**k - sum(z**i for i in range(k)), (1, 2), solver="anderson"
                 )
@@ -248,6 +249,28 @@ class TestAsymptoticCoefficient:
         est = numerics.asymptotic_coefficient(3, "T", 1000, 20)
         exact = 1000 * core.count_words(1000, 3)
         assert abs(est / exact - 1).hi < Fraction(1, 100)
+
+    def test_matches_double_pole_transfer_in_mpmath(self):
+        # n phi^(n+2) f(1/phi) / g'(1/phi)^2, with the numerators f of the 1s
+        # and bits series and g' written out here at x = 1/phi and phi from
+        # mpmath.findroot: nothing is shared with the closed forms in phi_k.
+        digits = 40
+        with mpmath.workdps(2 * digits):
+            for k in range(2, 9):
+                phi = mpmath.findroot(
+                    lambda z: z**k - sum(z**i for i in range(k)), (1, 2), solver="anderson"
+                )
+                x = 1 / phi
+                h = sum(x**i for i in range(k))
+                dh = sum(i * x ** (i - 1) for i in range(1, k))
+                g, dg = x * h - 1, h + x * dh
+                numerators = {"P": x * dh, "T": x * (h * dg - dh * g)}
+                for n in (50, 400):
+                    for target, f in numerators.items():
+                        expected = _fraction(n * phi ** (n + 2) * f / dg**2)
+                        enc = numerics.asymptotic_coefficient(k, target, n, digits)
+                        slack = expected / 10 ** (2 * digits - 10)
+                        assert enc.lo - slack <= expected <= enc.hi + slack, (k, target, n)
 
 
 class TestAllRoots:
