@@ -3,19 +3,31 @@
 Every count is a coefficient of a rational generating function from
 ``poly``, taken by ``series``: the words are -h_k/g_k, the k-step
 Fibonacci numbers -x^(k-1)/g_k, the 1s and bits their derived series.
-Everything is big-integer / exact-rational arithmetic, no floats.
+The counts by number of 1s are coefficients of the powers h_k^J, read
+along one anti-diagonal.  Everything is big-integer / exact-rational
+arithmetic, no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate
+from operator import sub
 
 from .poly import (
-    IntPoly, _bits_numerator, _check_k, _check_n, fibonacci_poly, pk_fraction, words_fraction,
+    IntPoly, _bits_numerator, _check_k, _check_n, fibonacci_poly, max_ones, pk_fraction,
+    words_fraction,
 )
-from .series import _closed_form_rows, coefficient
+from .series import coefficient
+
+# ``ones_distribution`` keeps its row narrow while NARROW_RATIO * k < m.
+# A narrow step costs about k backward steps in the interpreter, a
+# full-row step about 2m big-integer additions in C; per step the two
+# cost the same near m = 8k..13k (Python 3.11, 2-core Xeon, n = 2000 to
+# 5000, k = 20 to 150), and whole walks moved less than their run-to-run
+# spread for ratios from 8 to 16.
+NARROW_RATIO = 12
 
 
 @dataclass(frozen=True)
@@ -63,16 +75,70 @@ def count_words(n: int, k: int) -> int:
     return coefficient(*words_fraction(k), n)
 
 
+def _low_terms(power: int, k: int, count: int) -> list[int]:
+    """p(J, 0), ..., p(J, count) for J = ``power``, p(J, t) = [x^t] h_k^J.
+
+    The forward recurrence of ``ones_distribution`` from p(J, 0) = 1,
+    each division by t + 1 exact; k leading zeros stand for p(J, t < 0).
+    """
+    p = [0] * k + [1]
+    jk, back = power * k, power * (k - 1) + k
+    for t in range(count):
+        p.append(((t + power) * p[-1] + (t + 1 - k - jk) * p[t + 1] + (back - t) * p[t]) // (t + 1))
+    return p[k:]
+
+
 def ones_distribution(n: int, k: int) -> OnesDistribution:
     """Distribution of the number of 1s over all length-n avoiders.
 
-    Row n of the closed-form bivariate generating function, counting
-    words by length and number of 1s.
+    A word with m 1s has n - m 0s and so J = n + 1 - m gaps, each holding
+    fewer than k 1s: c(n, m) = p(J, m), where p(J, t) = [x^t] h_k^J.  The
+    counts lie on the anti-diagonal J + m = n + 1 of these coefficients,
+    walked from m = n - n // k down to 0 with exact integer steps:
+
+    * Within one power, since h_k'/h_k = 1/(1 - x) - k x^(k-1)/(1 - x^k),
+      P = h_k^J satisfies (1 - x)(1 - x^k) P' = J (1 - k x^(k-1) + (k-1) x^k) P,
+      whose coefficient of x^t is
+      (t+1) p_(t+1) = (t+J) p_t + (t-k+1-Jk) p_(t-k+1) + (J(k-1)-t+k) p_(t-k),
+      with p = 0 outside 0..(k-1)J.  Solved for p_(t-k), it extends k + 1
+      known terms down by one; below the top degree (k-1)J its divisor
+      J(k-1) - t + k is at least 1, and the division is exact.
+    * From one power to the next, row J + 1 is row J times h_k:
+      p(J+1, t) = sum_{i<k} p(J, t-i), differences of prefix sums.
+
+    Each step reads c_m = p(J, m), extends row J down to m - 2k (k steps of
+    the solved recurrence) and forms row J + 1 on [m-1-k, m-1]: O(k)
+    big-integer operations.  Once m <= NARROW_RATIO * k, row J is kept
+    down to 0 instead, and row J + 1 comes whole from C-level sums.  The
+    first row starts from p(J, 0) = 1 by the forward recurrence, and its
+    top is read from the palindrome p(J, t) = p(J, (k-1)J - t), so the
+    start takes at most min(n, NARROW_RATIO * k) + 1 terms.
     """
     _check_n(n)
     _check_k(k)
-    counts = next(islice(_closed_form_rows(k), n, None))
-    return OnesDistribution(n=n, k=k, counts=counts)
+    top = max_ones(n, k)
+    power = n + 1 - top
+    degree = power * (k - 1)
+    lo = top - k if NARROW_RATIO * k < top else 0  # row[i] = p(power, lo + i), up to m
+    low = _low_terms(power, k, min(top, degree - lo))
+    row = [low[t] if t < len(low) else low[degree - t] for t in range(lo, top + 1)]
+    counts = []
+    for m in range(top, -1, -1):
+        floor = m - 2 * k if NARROW_RATIO * k < m else 0
+        if lo > floor:
+            down, jk, base = row[::-1], power * k, power * (k - 1)
+            for s in range(lo - 1, floor - 1, -1):  # t = s + k in the recurrence
+                down.append((
+                    (s + k + 1) * down[-k - 1] - (s + k + power) * down[-k] - (s + 1 - jk) * down[-1]
+                ) // (base - s))
+            row, lo = down[::-1], floor
+        counts.append(row.pop())
+        sums = list(accumulate(row, initial=0))
+        row = (sums[1:k] if lo == 0 else []) + list(map(sub, sums[k:], sums))
+        if lo:
+            lo += k - 1
+        power += 1
+    return OnesDistribution(n=n, k=k, counts=tuple(reversed(counts)))
 
 
 def popularity(n: int, k: int) -> int:

@@ -3,6 +3,9 @@
 Covers the univariate series (random access to one coefficient, and
 prefixes) and the bivariate series counting words by length and number
 of 1s, from its defining fixed-point equation and from its closed form.
+The two bivariate tables cost O(n^2) cell additions up to row n; they
+are the independent references for ``core.ones_distribution``, which
+takes one row along an anti-diagonal of the powers of h_k instead.
 """
 
 from __future__ import annotations

@@ -131,6 +131,13 @@ def check_series_consistency(n_max: int, k_max: int) -> CheckResult:
 
 
 def check_functional_equation(n_max: int, k_max: int) -> CheckResult:
+    """Three independent routes to the counts by length and number of 1s.
+
+    The bivariate table from its fixed-point equation must equal the one
+    from its closed form, and each of its rows must equal
+    ``core.ones_distribution``, which walks the coefficients of the powers
+    h_k^J and builds neither table.
+    """
     for k in range(2, k_max + 1):
         fixed_point = series.expand_bivariate(k, n_max)
         if series.expand_bivariate_closed_form(k, n_max) != fixed_point:

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from runwords import core, numerics, oracle
+from runwords import core, numerics, oracle, series
 from runwords.poly import fibonacci_poly, max_ones
 
 
@@ -103,6 +104,28 @@ class TestOnesDistribution:
                 assert len(dist.counts) == max_ones(n, k) + 1
                 assert sum(dist.counts) == core.count_words(n, k)
                 assert dist.total_ones == core.popularity(n, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=80), k=st.integers(min_value=2, max_value=12))
+    @example(n=12, k=12)
+    @example(n=11, k=12)
+    @example(n=3, k=12)
+    def test_walk_matches_the_fixed_point_table(self, n, k):
+        assert core.ones_distribution(n, k).counts == series.expand_bivariate(k, n).table[n]
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(2000, 2), (2001, 2), (2002, 2), (2003, 2), (3000, 3), (5000, 2), (2000, 40), (300, 1000)],
+    )
+    def test_large_rows_sum_to_the_coefficients(self, n, k):
+        dist = core.ones_distribution(n, k)
+        assert sum(dist.counts) == core.count_words(n, k)
+        assert dist.total_ones == core.popularity(n, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 40, 2001])
+    def test_large_rows_match_the_closed_form_table(self, k):
+        row = next(islice(series._closed_form_rows(k), 2000, None))
+        assert core.ones_distribution(2000, k).counts == row
 
 
 class TestPopularity:
