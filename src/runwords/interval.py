@@ -1,22 +1,19 @@
 """Certified real enclosures with exact rational endpoints.
 
-Endpoints are ``fractions.Fraction``, so every arithmetic operation is
-exact and the enclosure property is preserved without rounding control:
-the true value of any expression lies inside the computed interval.
-Endpoints do not grow on the hot paths: ``numerics`` computes in
+An ``Interval`` is a record of two ``fractions.Fraction`` endpoints,
+``lo`` and ``hi``, that enclose a real number.  ``numerics`` computes in
 integer fixed point rounded outward and hands back intervals whose
-endpoints have about as many bits as the digits asked for.  This
-module also renders enclosures as certified decimals, refining them
-until every point rounds to the same digits.
+endpoints have about as many bits as the digits asked for; checks
+compare those endpoints exactly.  The one operation is the exact
+reciprocal ``r / x`` for a rational ``r``, which ``numerics.inverse_phi``
+uses.  This module also renders enclosures as certified decimals,
+refining them until every point rounds to the same digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
 
 # Most attempts of a refine loop, each at twice the digits of the one before.
 MAX_ROUNDS = 12
@@ -33,11 +30,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
-    @staticmethod
-    def point(x: Rational) -> "Interval":
-        x = Fraction(x)
-        return Interval(x, x)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -51,53 +43,12 @@ class Interval:
             return self.lo <= x.lo and x.hi <= self.hi
         return self.lo <= Fraction(x) <= self.hi
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def _coerce(self, other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval.point(other)
-
-    def __add__(self, other) -> "Interval":
-        other = self._coerce(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Interval":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Interval":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Interval":
-        other = self._coerce(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Interval":
-        other = self._coerce(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError(f"division by interval containing 0: {other}")
-        return self * Interval(1 / other.hi, 1 / other.lo)
-
     def __rtruediv__(self, other) -> "Interval":
-        return self._coerce(other) / self
-
-    def __abs__(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
+        """Enclosure of other / v over the points v of self, for a rational other."""
+        if self.lo <= 0 <= self.hi:
+            raise ZeroDivisionError(f"division by interval containing 0: {self}")
+        a, b = Fraction(other) / self.lo, Fraction(other) / self.hi
+        return Interval(min(a, b), max(a, b))
 
     def __str__(self) -> str:
         return f"[{float(self.lo)}, {float(self.hi)}]"

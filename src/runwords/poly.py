@@ -76,7 +76,7 @@ class IntPoly:
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, complex, Interval."""
+        """Horner evaluation; works for int, Fraction and complex."""
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -7,7 +7,6 @@ pass/fail result so the CLI can emit a machine-readable report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -192,28 +191,29 @@ def check_root_structure() -> CheckResult:
     return _check("root_structure", True, f"k=2..{k_max}")
 
 
-def sqrt5_enclosure() -> Interval:
-    """Independent oracle for sqrt(5): integer square root at scale 10^40."""
-    scale = 10**40
-    s = math.isqrt(5 * scale * scale)
-    return Interval(Fraction(s, scale), Fraction(s + 1, scale))
-
-
 def check_golden_ratio_case() -> CheckResult:
-    sqrt5 = sqrt5_enclosure()
-    golden = (1 + sqrt5) / 2
-    gap = abs(numerics.phi(2, 17) - golden)
-    if not gap.hi < Fraction(1, 10**15):
+    """sqrt5 = 2 phi_2 - 1 = 5 - 10 L_2 inside both enclosures, by exact squares.
+
+    The narrow widths keep each enclosure on the positive side of its square.
+    """
+    phi = numerics.phi(2, 17)
+    low, high = 2 * phi.lo - 1, 2 * phi.hi - 1
+    if not (low**2 <= 5 <= high**2 and phi.width < Fraction(1, 10**15)):
         return _check("golden_ratio_case", False, "phi(2) != (1+sqrt5)/2 at 15 decimals")
-    closed_form = (5 - sqrt5) / 10
-    gap = abs(numerics.limit_value(2, 32) - closed_form)
-    if not gap.hi < Fraction(1, 10**30):
+    limit = numerics.limit_value(2, 32)
+    low, high = 5 - 10 * limit.hi, 5 - 10 * limit.lo
+    if not (low**2 <= 5 <= high**2 and limit.width < Fraction(1, 10**30)):
         return _check("golden_ratio_case", False, "limit(2) != (5-sqrt5)/10 at 30 decimals")
     return _check("golden_ratio_case", True)
 
 
+def _distance(x: Interval, y: Fraction) -> Interval:
+    """Enclosure of |v - y| over the points v of x, for a rational y."""
+    return Interval(max(x.lo - y, y - x.hi, 0), max(x.hi - y, y - x.lo))
+
+
 def _ratio_gap(k: int, target: str, n: int) -> Interval:
-    """Enclosure of |estimate(n)/exact(n) - 1|.
+    """Enclosure of |estimate(n)/exact(n) - 1|, that is |estimate - exact| / exact.
 
     For the total-bits series the estimate is exponentially accurate
     (the subdominant roots contribute n*r^n with |r| < 1 < phi), so the
@@ -224,7 +224,8 @@ def _ratio_gap(k: int, target: str, n: int) -> Interval:
     )
     digits = 30 + (n if target == "T" else 0)
     estimate = numerics.asymptotic_coefficient(k, target, n, digits)
-    return abs(estimate / exact - 1)
+    gap = _distance(estimate, exact)
+    return Interval(gap.lo / exact, gap.hi / exact)
 
 
 def check_asymptotic_transfer() -> CheckResult:
@@ -249,7 +250,7 @@ def check_alpha_convergence() -> CheckResult:
     ns = (50, 100, 200, 400, 800, 1600)
     for k in (2, 3):
         limit = numerics.limit_value(k, 30)
-        gaps = [abs(Interval.point(core.alpha(n, k)) - limit) for n in ns]
+        gaps = [_distance(limit, core.alpha(n, k)) for n in ns]
         for earlier, later in zip(gaps, gaps[1:]):
             if not later.hi < earlier.lo:
                 return _check("alpha_convergence", False, f"k={k}: not decreasing")

@@ -11,21 +11,21 @@ from hypothesis import strategies as st
 from runwords import core, numerics
 from runwords.interval import Interval
 from runwords.poly import IntPoly, fibonacci_poly, reciprocal_fibonacci_poly
-from runwords.verify import sqrt5_enclosure
-
-GOLDEN = (1 + sqrt5_enclosure()) / 2  # width ~1e-40
+from runwords.verify import _distance
 
 
 class TestPhi:
     def test_golden_ratio(self):
         enc = numerics.phi(2, 20)
-        assert 0 in enc - GOLDEN  # the two enclosures overlap
+        # 2 phi_2 - 1 = sqrt5, by exact squares
+        assert (2 * enc.lo - 1) ** 2 <= 5 <= (2 * enc.hi - 1) ** 2
         assert enc.width < Fraction(1, 10**20)
 
     def test_defining_property(self):
         for k in (2, 3, 5, 8):
             enc = numerics.phi(k, 20)
-            assert 0 in reciprocal_fibonacci_poly(k)(enc)
+            poly = reciprocal_fibonacci_poly(k)
+            assert poly(enc.lo) < 0 < poly(enc.hi)
 
     def test_large_k_approaches_two(self):
         enc = numerics.phi(30, 15)
@@ -83,7 +83,7 @@ class TestBisectRoot:
         # 2x - 3 vanishes at the first midpoint: the fixed-point enclosure
         # there is [0, 0], and exact evaluation finds the zero.
         enc = numerics.bisect_root(IntPoly([-3, 2]), 1, 2, Fraction(1, 10**20))
-        assert enc == Interval.point(Fraction(3, 2))
+        assert enc == Interval(Fraction(3, 2), Fraction(3, 2))
 
     def test_exact_evaluation_decides_where_the_enclosure_cannot(self, monkeypatch):
         # (3x - 4)(x - 1)^40 near 4/3 is about 3^-40 times the distance to
@@ -173,12 +173,14 @@ def _fraction(value) -> Fraction:
 class TestInversePhi:
     def test_golden_case(self):
         enc = numerics.inverse_phi(2, 20)
-        assert 0 in enc - 1 / GOLDEN
+        # 2 / phi_2 + 1 = sqrt5, by exact squares
+        assert (2 * enc.lo + 1) ** 2 <= 5 <= (2 * enc.hi + 1) ** 2
 
     def test_root_of_constraint_poly(self):
         for k in range(2, 14):
             enc = numerics.inverse_phi(k, 20)
-            assert 0 in fibonacci_poly(k)(enc)
+            poly = fibonacci_poly(k)
+            assert poly(enc.lo) < 0 < poly(enc.hi)
             assert 0 < enc.lo and enc.hi < 1
 
     def test_k3_independent_bisection(self):
@@ -193,18 +195,19 @@ class TestInversePhi:
                 lo = mid
             else:
                 hi = mid
-        direct = Interval(lo, hi)
-        assert 0 in direct - numerics.inverse_phi(3, 20)
+        enc = numerics.inverse_phi(3, 20)
+        assert lo <= enc.hi and enc.lo <= hi  # the two enclosures overlap
         # 0.5436890...
-        assert Fraction(54368, 10**5) < direct.lo
-        assert direct.hi < Fraction(54369, 10**5)
+        assert Fraction(54368, 10**5) < lo
+        assert hi < Fraction(54369, 10**5)
 
 
 class TestLimitValue:
     def test_k2_closed_form(self):
-        closed = (5 - sqrt5_enclosure()) / 10
+        # 5 - 10 L_2 = sqrt5, by exact squares
         enc = numerics.limit_value(2, 32)
-        assert abs(enc - closed).hi < Fraction(1, 10**30)
+        assert (5 - 10 * enc.hi) ** 2 <= 5 <= (5 - 10 * enc.lo) ** 2
+        assert enc.width < Fraction(1, 10**30)
 
     def test_matches_closed_form_in_mpmath(self):
         # Independent of the production path: phi_k from mpmath.findroot at
@@ -242,13 +245,12 @@ class TestAsymptoticCoefficient:
     def test_ratio_approaches_one(self):
         est = numerics.asymptotic_coefficient(2, "P", 1000, 20)
         exact = core.popularity(1000, 2)
-        ratio = est / exact
-        assert abs(ratio - 1).hi < Fraction(1, 100)
+        assert Fraction(99, 100) * exact < est.lo and est.hi < Fraction(101, 100) * exact
 
     def test_bits_target(self):
         est = numerics.asymptotic_coefficient(3, "T", 1000, 20)
         exact = 1000 * core.count_words(1000, 3)
-        assert abs(est / exact - 1).hi < Fraction(1, 100)
+        assert Fraction(99, 100) * exact < est.lo and est.hi < Fraction(101, 100) * exact
 
     def test_matches_double_pole_transfer_in_mpmath(self):
         # n phi^(n+2) f(1/phi) / g'(1/phi)^2, with the numerators f of the 1s
@@ -421,9 +423,6 @@ class TestEnclosureSoundness:
     def test_alpha_converges_to_limit(self):
         for k in (2, 3):
             limit = numerics.limit_value(k, 25)
-            gaps = [
-                abs(Interval.point(core.alpha(n, k)) - limit)
-                for n in (50, 100, 200, 400)
-            ]
+            gaps = [_distance(limit, core.alpha(n, k)) for n in (50, 100, 200, 400)]
             for earlier, later in zip(gaps, gaps[1:]):
                 assert later.hi < earlier.lo
