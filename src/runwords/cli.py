@@ -92,15 +92,15 @@ def cmd_limits(args) -> int:
 
 
 def cmd_alpha_series(args) -> int:
+    """alpha(n) = P_n / (n W_n) for n = 1..n_max, from prefixes of the 1s and word series."""
     limit_decimal = render_decimal(
         lambda work: numerics.limit_value(args.k, work), args.digits
     )
-    bits, square = poly.tk_fraction(args.k)  # the 1s series shares g_k^2
-    pk = series.expand(poly._ones_numerator(args.k), square, args.n_max)
-    tk = series.expand(bits, square, args.n_max)
+    ones = series.expand(*poly.pk_fraction(args.k), args.n_max)
+    words = series.expand(*poly.words_fraction(args.k), args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):
-        a = Fraction(pk[n], tk[n])
+        a = Fraction(ones[n], n * words[n])  # n bits in each word
         rows.append(
             {
                 "k": args.k,

@@ -2,7 +2,8 @@
 
 Every count is a coefficient of a rational generating function from
 ``poly``, taken by ``series``: the words are -h_k/g_k, the k-step
-Fibonacci numbers -x^(k-1)/g_k, the 1s and bits their derived series.
+Fibonacci numbers -x^(k-1)/g_k, the 1s its derived series; the bits
+are n times the words.
 The counts by number of 1s are coefficients of the powers h_k^J, read
 along one anti-diagonal.  Everything is big-integer / exact-rational
 arithmetic, no floats.
@@ -16,8 +17,7 @@ from itertools import accumulate
 from operator import sub
 
 from .poly import (
-    IntPoly, _bits_numerator, _check_k, _check_n, fibonacci_poly, max_ones, pk_fraction,
-    words_fraction,
+    IntPoly, _check_k, _check_n, fibonacci_poly, max_ones, pk_fraction, words_fraction,
 )
 from .series import coefficient
 
@@ -151,13 +151,13 @@ def popularity(n: int, k: int) -> int:
 def alpha(n: int, k: int) -> Fraction:
     """Expected value of a random bit in a random length-n avoider.
 
-    Equals popularity / total bit count, the n-th coefficients of
-    ``pk_fraction`` and ``tk_fraction``, always in lowest terms; the two
-    share the denominator g_k^2, built once.  Undefined at n = 0 (0/0).
+    Equals popularity / total bit count, always in lowest terms.  The
+    total bit count is n count_words(n), n bits in each word: one
+    coefficient of -h_k/g_k, not of the bits series over g_k^2.
+    Undefined at n = 0 (0/0).
     """
     _check_k(k)
     _check_n(n)
     if n == 0:
         raise ValueError("expected bit value undefined at n=0; need n >= 1")
-    ones, square = pk_fraction(k)
-    return Fraction(coefficient(ones, square, n), coefficient(_bits_numerator(k), square, n))
+    return Fraction(coefficient(*pk_fraction(k), n), n * coefficient(*words_fraction(k), n))

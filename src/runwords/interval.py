@@ -54,15 +54,17 @@ class Interval:
         return f"[{float(self.lo)}, {float(self.hi)}]"
 
 
-def round_fraction(x: Fraction, digits: int) -> str:
-    """Decimal string of x with exactly `digits` places, round-half-even."""
+def round_fraction(x: Fraction | int, digits: int) -> str:
+    """Decimal string of a rational x with exactly `digits` places, round-half-even.
+
+    In integers: |x| 10^digits = whole + r / den is a tie when 2 r == den.
+    """
     if type(digits) is not int or digits < 0:  # bool is refused too
         raise ValueError(f"need digits >= 0, got {digits!r}")
-    sign = "-" if x < 0 else ""
-    scaled = abs(Fraction(x)) * 10**digits
-    whole, frac = divmod(scaled.numerator, scaled.denominator)
-    half = Fraction(frac, scaled.denominator)
-    if half > Fraction(1, 2) or (half == Fraction(1, 2) and whole % 2 == 1):
+    num, den = x.numerator, x.denominator
+    sign = "-" if num < 0 else ""
+    whole, r = divmod(abs(num) * 10**digits, den)
+    if 2 * r > den or (2 * r == den and whole % 2 == 1):
         whole += 1
     text = _decimal(whole).rjust(digits + 1, "0")
     if digits == 0:

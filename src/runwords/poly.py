@@ -12,6 +12,8 @@ rounded integer fixed-point form at one point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 
 # ``type(...) is int`` refuses bool, which isinstance would let through.
@@ -126,21 +128,16 @@ def words_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     return IntPoly(()) - _h(k), fibonacci_poly(k)
 
 
-def _ones_numerator(k: int) -> IntPoly:
-    """x h_k', the numerator of ``pk_fraction``."""
-    return _x_power(1) * _h(k).derivative()
-
-
-def _bits_numerator(k: int) -> IntPoly:
-    """x (h_k g_k' - h_k' g_k), the numerator of ``tk_fraction``."""
-    p, q = words_fraction(k)
-    return _x_power(1) * (p.derivative() * q - p * q.derivative())
-
-
 def _g_squared(k: int) -> IntPoly:
-    """g_k^2, the denominator the 1s and bits series share."""
+    """g_k^2 = x (g_k h_k) - g_k, the denominator of the 1s and bits series.
+
+    Multiplying by h_k sums k neighbouring coefficients, a difference of
+    prefix sums, so the square takes O(k) additions, not O(k^2) products.
+    """
     g = fibonacci_poly(k)
-    return g * g
+    sums = list(accumulate(g.coeffs + (0,) * (k - 1), initial=0))
+    g_h = IntPoly(sums[1:k] + list(map(sub, sums[k:], sums)))
+    return _x_power(1) * g_h - g
 
 
 def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
@@ -149,13 +146,15 @@ def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     Marking each 1 by y turns -h/g into h(xy) / (1 - x h(xy)), whose
     derivative in y at y = 1 is x h' / (1 - x h)^2.
     """
-    return _ones_numerator(k), _g_squared(k)
+    return _x_power(1) * _h(k).derivative(), _g_squared(k)
 
 
 def tk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     """Generating function of the total bit count (n times the word count).
 
     Termwise x*d/dx of the word counts p/q = -h/g: x (p' q - p q') / q^2,
-    whose numerator is x (h g' - h' g).
+    whose numerator is x (h g' - h' g).  The library takes T_n as
+    n * count_words(n); this series is ``verify``'s independent route to it.
     """
-    return _bits_numerator(k), _g_squared(k)
+    p, q = words_fraction(k)
+    return _x_power(1) * (p.derivative() * q - p * q.derivative()), _g_squared(k)

@@ -48,17 +48,36 @@ def expand(numerator: IntPoly, denominator: IntPoly, n_terms: int) -> SeriesExpa
     """First coefficients of numerator/denominator as a power series.
 
     Standard linear recurrence: with d0 = denominator constant term,
-    d0 * c_n = numer_n - sum_{j>=1} denom_j * c_{n-j}.  Requires d0 in
-    {1, -1} so every coefficient is an exact integer.
+    d0 * c_n = numer_n - sum_{j>=1} denom_j * c_{n-j}, the sum running
+    over the nonzero taps denom_j only.  Requires d0 in {1, -1} so every
+    coefficient is an exact integer.
     """
     d0 = _unit_constant_term(denominator)
+    taps = [(j, d) for j, d in enumerate(denominator.coeffs) if j and d]
+    numer = numerator.coeffs
     coeffs: list[int] = []
     for n in range(n_terms + 1):
-        acc = numerator[n]
-        for j in range(1, min(n, denominator.degree) + 1):
-            acc -= denominator[j] * coeffs[n - j]
+        acc = numer[n] if n < len(numer) else 0
+        for j, d in taps:
+            if j > n:
+                break
+            acc -= d * coeffs[n - j]
         coeffs.append(acc * d0)
     return SeriesExpansion(tuple(coeffs))
+
+
+def _half_product(a: tuple[int, ...], q: tuple[int, ...], parity: int) -> IntPoly:
+    """[x^(2t + parity)] a(x) q(-x) for t = 0, 1, ...: one parity of the product.
+
+    For a_i only the q_j with j = i + parity (mod 2) land there, all of sign (-1)^j.
+    """
+    out = [0] * ((len(a) + len(q) - parity) // 2)
+    for i, c in enumerate(a):
+        start = (i + parity) % 2
+        c = -c if start else c
+        for j in range(start, len(q), 2):
+            out[(i + j) // 2] += c * q[j]
+    return IntPoly(out)
 
 
 def coefficient(numerator: IntPoly, denominator: IntPoly, n: int) -> int:
@@ -66,15 +85,15 @@ def coefficient(numerator: IntPoly, denominator: IntPoly, n: int) -> int:
 
     Bostan-Mori halving (SOSA 2021): with Q(x)Q(-x) = V(x^2) and
     P(x)Q(-x) = U_0(x^2) + x U_1(x^2), [x^n] P/Q = [x^(n//2)] U_(n%2)/V.
-    Once n <= deg Q the last terms come from ``expand``.  Same contract
-    as ``expand``: the constant term of the denominator must be +1 or -1.
+    Each halving forms only the halves it keeps, U_(n%2) and V.  Once
+    n <= deg Q the last terms come from ``expand``.  Same contract as
+    ``expand``: the constant term of the denominator must be +1 or -1.
     """
     _unit_constant_term(denominator)
     p, q = numerator, denominator
     while n > q.degree:
-        q_neg = IntPoly(-c if i % 2 else c for i, c in enumerate(q.coeffs))
-        p = IntPoly((p * q_neg).coeffs[n % 2::2])
-        q = IntPoly((q * q_neg).coeffs[::2])
+        p = _half_product(p.coeffs, q.coeffs, n % 2)
+        q = _half_product(q.coeffs, q.coeffs, 0)
         n //= 2
     return expand(p, q, n)[n]
 

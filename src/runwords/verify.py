@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from . import core, numerics, oracle, series
 from .interval import Interval, render_decimal
-from .poly import _ones_numerator, max_ones, tk_fraction
+from .poly import max_ones, pk_fraction, tk_fraction
 
 # Reference triangle of avoider counts by (ones m, length n), n = 1..9.
 # Rows are m = 0, 1, ...; missing trailing cells are zero.
@@ -116,9 +116,8 @@ def check_series_consistency(n_max: int, k_max: int) -> CheckResult:
     """Series prefixes vs. the fixed-point table (P_n = sum_m m*c[n][m],
     T_n = n*sum_m c[n][m]), and random access vs. prefixes."""
     for k in range(2, k_max + 1):
-        bits, square = tk_fraction(k)  # the 1s series shares g_k^2
-        pk = series.expand(_ones_numerator(k), square, n_max)
-        tk = series.expand(bits, square, n_max)
+        pk = series.expand(*pk_fraction(k), n_max)
+        tk = series.expand(*tk_fraction(k), n_max)
         table = series.expand_bivariate(k, n_max).table
         for n, row in enumerate(table):
             ones = sum(m * c for m, c in enumerate(row))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -120,6 +121,24 @@ def test_alpha_series_trivial_start(capsys):
     row = json.loads(out)[0]
     assert row["alpha_num"] == 1 and row["alpha_den"] == 2
     assert row["alpha_decimal"].startswith("0.5000")
+
+
+# sha256 of stdout, trailing newline included, as printed by the
+# Fraction-based series code of commit 9a819bf.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--k", "3", "--n-max", "2000", "--format", "csv"),
+         "ec8018d13a2ee267f2ab9a1725b2a0e20d595a8df0063e6f55616d5bdc1b1e64"),
+        (("--k", "7", "--n-max", "500", "--digits", "40", "--format", "json"),
+         "bebceafb81c218cd4ffac8954cca8bd6626974b90cee6894dcd4f5f5663bbfda"),
+    ],
+    ids=["k3-csv", "k7-json"],
+)
+def test_alpha_series_output_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, "alpha-series", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_phi(capsys):

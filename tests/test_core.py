@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runwords import core, numerics, oracle, series
-from runwords.poly import fibonacci_poly, max_ones
+from runwords.poly import fibonacci_poly, max_ones, pk_fraction, tk_fraction
 
 
 class TestKStepFibonacci:
@@ -151,6 +151,18 @@ class TestAlpha:
     def test_undefined_at_zero(self):
         with pytest.raises(ValueError, match="undefined"):
             core.alpha(0, 2)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_the_quotient_of_the_ones_and_bits_series(self, k):
+        pk = series.expand(*pk_fraction(k), 200)
+        tk = series.expand(*tk_fraction(k), 200)
+        for n in range(1, 201):
+            assert core.alpha(n, k) == Fraction(pk[n], tk[n]), n
+
+    def test_total_bits_match_the_bits_series_far_out(self):
+        n = 10**4
+        bits = series.coefficient(*tk_fraction(3), n)
+        assert core.alpha(n, 3) == Fraction(core.popularity(n, 3), bits)
 
     def test_range(self):
         for k in (2, 3, 4):

@@ -36,6 +36,35 @@ class TestDecimalRendering:
         assert round_fraction(Fraction(7, 1), 0) == "7"
         assert round_fraction(Fraction(999, 1000), 2) == "1.00"
 
+    def test_ties_with_denominators_above_2_to_the_200(self):
+        digits = 70  # 2 * 10^70 > 2^200
+        for m in (0, 1, 2, 3, 10**69, 10**69 + 1):
+            tie = Fraction(2 * m + 1, 2 * 10**digits)
+            assert tie.denominator > 2**200
+            whole = m + m % 2  # half to even
+            assert round_fraction(tie, digits) == f"0.{whole:0{digits}d}"
+            assert round_fraction(-tie, digits) == f"-0.{whole:0{digits}d}"
+            nudge = Fraction(1, 3**200)
+            assert round_fraction(tie + nudge, digits) == f"0.{m + 1:0{digits}d}"
+            assert round_fraction(tie - nudge, digits) == f"0.{m:0{digits}d}"
+
+    def test_negative_values_and_zero_digits(self):
+        assert round_fraction(Fraction(5, 2), 0) == "2"
+        assert round_fraction(Fraction(7, 2), 0) == "4"
+        assert round_fraction(Fraction(-5, 2), 0) == "-2"
+        assert round_fraction(Fraction(-7, 2), 0) == "-4"
+        assert round_fraction(Fraction(-3, 2), 0) == "-2"
+        assert round_fraction(Fraction(-2, 3), 0) == "-1"
+        assert round_fraction(Fraction(-1, 3), 0) == "-0"
+        assert round_fraction(Fraction(-1, 1000), 2) == "-0.00"
+        assert round_fraction(Fraction(-2, 3), 4) == "-0.6667"
+
+    def test_int_input(self):
+        assert round_fraction(7, 3) == "7.000"
+        assert round_fraction(-3, 0) == "-3"
+        assert round_fraction(0, 2) == "0.00"
+        assert round_fraction(10**5000, 0) == "1" + "0" * 5000
+
     def test_certified_decimal(self):
         tight = Interval(Fraction(123456, 10**6), Fraction(123457, 10**6))
         assert certified_decimal(tight, 3) == "0.123"

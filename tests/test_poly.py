@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from runwords.poly import (
     IntPoly,
+    _g_squared,
     fibonacci_poly,
     pk_fraction,
     reciprocal_fibonacci_poly,
@@ -101,6 +102,11 @@ def test_pk_fraction():
     assert num.coeffs == (0, 1, 2)  # x + 2x^2
     num, _ = pk_fraction(4)
     assert num.coeffs == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("k", [*range(2, 65), 1000])
+def test_g_squared_is_the_square_of_g(k):
+    assert _g_squared(k) == fibonacci_poly(k) * fibonacci_poly(k)
 
 
 def test_tk_fraction():

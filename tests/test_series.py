@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from runwords import core
-from runwords.poly import IntPoly, max_ones, pk_fraction, tk_fraction
+from runwords.poly import IntPoly, fibonacci_poly, max_ones, pk_fraction, tk_fraction
 from runwords.series import (
     coefficient,
     expand,
@@ -49,9 +49,63 @@ class TestExpand:
 
 
 small_ints = st.integers(min_value=-50, max_value=50)
+sparse_ints = st.one_of(st.just(0), small_ints)
+
+
+class TestExpandByConvolution:
+    """expand's prefix times the denominator gives back the numerator.
+
+    An independent check of ``expand``: sum_j q_j s_(n-j) = p_n for every
+    n up to the prefix length, with no second series routine involved.
+    """
+
+    @given(
+        numerator=st.lists(small_ints, max_size=16),
+        constant=st.sampled_from((1, -1)),
+        tail=st.lists(sparse_ints, max_size=12),
+        n_terms=st.integers(min_value=0, max_value=60),
+    )
+    @example(numerator=[3, 0, -2], constant=-1, tail=[0, 0, 5, 0, -1], n_terms=30)
+    @example(numerator=[0] * 9 + [1], constant=1, tail=[0, 0, 0, 1], n_terms=20)
+    def test_prefix_times_denominator_is_the_numerator(self, numerator, constant, tail, n_terms):
+        p, q = IntPoly(numerator), IntPoly([constant] + tail)
+        s = expand(p, q, n_terms)
+        assert len(s.coeffs) == n_terms + 1
+        for n in range(n_terms + 1):
+            assert sum(q[j] * s[n - j] for j in range(min(n, q.degree) + 1)) == p[n]
+
+
+# Degrees 3 (g_3), 4 and 5 (with zero interior terms) and 6 (g_3^2).
+ODD_AND_EVEN_DENOMINATORS = [
+    fibonacci_poly(3), IntPoly([1, 0, -3, 0, 2]), IntPoly([-1, 0, 0, 4, 0, 1]),
+    fibonacci_poly(3) * fibonacci_poly(3),
+]
 
 
 class TestCoefficient:
+    @pytest.mark.parametrize("q", ODD_AND_EVEN_DENOMINATORS)
+    def test_at_and_just_past_the_denominator_degree(self, q):
+        p = IntPoly([2, -1, 0, 3])
+        s = expand(p, q, q.degree + 2)
+        for n in (q.degree, q.degree + 1, q.degree + 2):
+            assert coefficient(p, q, n) == s[n], (q, n)
+
+    @pytest.mark.parametrize("q", ODD_AND_EVEN_DENOMINATORS)
+    def test_numerator_longer_than_the_denominator(self, q):
+        p = IntPoly([1, -2, 3, 0, 5, -1, 0, 0, 7, 2, -4, 1])
+        s = expand(p, q, 40)
+        for n in range(41):
+            assert coefficient(p, q, n) == s[n], (q, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_kstep_fibonacci_numerator_with_leading_zeros(self, k):
+        fib = [0] * (k - 1) + [1]
+        while len(fib) < 4 * k + 40:
+            fib.append(sum(fib[-k:]))
+        p = IntPoly([0] * (k - 1) + [-1])
+        for n, expected in enumerate(fib):
+            assert coefficient(p, fibonacci_poly(k), n) == expected, (k, n)
+
     @given(
         numerator=st.lists(small_ints, max_size=16),
         constant=st.sampled_from((1, -1)),
