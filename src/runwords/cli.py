@@ -3,9 +3,9 @@
 Every command is deterministic and supports --format plain|csv|json.
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a failed identity check of ``count``), 2 usage error, 3 internal
-failure (a refinement that found no certified result, a root iteration
-that did not converge, root disks that could not be certified, or
-``verify full`` without mpmath, its independent referee).
+failure (no certified result after refinement, a root iteration that did
+not converge, root disks that could not be certified, ``verify full``
+without mpmath, its independent referee, or running out of memory).
 """
 
 from __future__ import annotations
@@ -291,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (RuntimeError, ImportError) as exc:  # RootFindingError; mpmath missing
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

@@ -53,15 +53,31 @@ class OnesDistribution:
         return sum(m * c for m, c in enumerate(self.counts))
 
 
+def _run_length(n: int, k: int) -> int:
+    """Check n and k; return min(k, n + 2), which counts the same length-n words as k.
+
+    No length-n word has a run of more than n 1s, so every k > n gives the
+    same counts; n + 2, not n + 1, keeps the result >= 2 at n = 0.
+    """
+    _check_n(n)
+    _check_k(k)
+    return min(k, n + 2)
+
+
 def kstep_fibonacci(n: int, k: int) -> int:
     """n-th k-step Fibonacci number (k=2 gives 0, 1, 1, 2, 3, 5, ...).
 
     Zero for n <= k-2, one at n = k-1, afterwards the sum of the
-    previous k terms: the coefficients of -x^(k-1) / (x^k + ... + x - 1).
+    previous k terms: [x^n] -x^(k-1)/g_k, that is [x^i] -1/g_k with
+    i = n - k + 1.  Terms of g_k above x^i cannot change that coefficient,
+    so g is cut to degree min(k, max(i, 2)).
     """
     _check_n(n)
     _check_k(k)
-    return coefficient(IntPoly([0] * (k - 1) + [-1]), fibonacci_poly(k), n)
+    i = n - k + 1
+    if i < 0:
+        return 0
+    return coefficient(IntPoly([-1]), fibonacci_poly(min(k, max(i, 2))), i)
 
 
 def count_words(n: int, k: int) -> int:
@@ -70,22 +86,7 @@ def count_words(n: int, k: int) -> int:
     Equals kstep_fibonacci(n + k, k), the paper's identity, which the
     ``count`` command checks by taking both coefficients.
     """
-    _check_n(n)
-    _check_k(k)
-    return coefficient(*words_fraction(k), n)
-
-
-def _low_terms(power: int, k: int, count: int) -> list[int]:
-    """p(J, 0), ..., p(J, count) for J = ``power``, p(J, t) = [x^t] h_k^J.
-
-    The forward recurrence of ``ones_distribution`` from p(J, 0) = 1,
-    each division by t + 1 exact; k leading zeros stand for p(J, t < 0).
-    """
-    p = [0] * k + [1]
-    jk, back = power * k, power * (k - 1) + k
-    for t in range(count):
-        p.append(((t + power) * p[-1] + (t + 1 - k - jk) * p[t + 1] + (back - t) * p[t]) // (t + 1))
-    return p[k:]
+    return coefficient(*words_fraction(_run_length(n, k)), n)
 
 
 def ones_distribution(n: int, k: int) -> OnesDistribution:
@@ -106,22 +107,19 @@ def ones_distribution(n: int, k: int) -> OnesDistribution:
     * From one power to the next, row J + 1 is row J times h_k:
       p(J+1, t) = sum_{i<k} p(J, t-i), differences of prefix sums.
 
+    The first row starts at its top degree (k-1)J, where p = 1 with zeros
+    above, and the same recurrence takes it down to the first window.
     Each step reads c_m = p(J, m), extends row J down to m - 2k (k steps of
     the solved recurrence) and forms row J + 1 on [m-1-k, m-1]: O(k)
     big-integer operations.  Once m <= NARROW_RATIO * k, row J is kept
-    down to 0 instead, and row J + 1 comes whole from C-level sums.  The
-    first row starts from p(J, 0) = 1 by the forward recurrence, and its
-    top is read from the palindrome p(J, t) = p(J, (k-1)J - t), so the
-    start takes at most min(n, NARROW_RATIO * k) + 1 terms.
+    down to 0 instead, and row J + 1 comes whole from C-level sums.  Any
+    k > n is walked as n + 2; ``k`` of the result is the one given.
     """
-    _check_n(n)
-    _check_k(k)
+    given, k = k, _run_length(n, k)
     top = max_ones(n, k)
     power = n + 1 - top
-    degree = power * (k - 1)
-    lo = top - k if NARROW_RATIO * k < top else 0  # row[i] = p(power, lo + i), up to m
-    low = _low_terms(power, k, min(top, degree - lo))
-    row = [low[t] if t < len(low) else low[degree - t] for t in range(lo, top + 1)]
+    lo = power * (k - 1)  # row[i] = p(power, lo + i)
+    row = [1] + [0] * k
     counts = []
     for m in range(top, -1, -1):
         floor = m - 2 * k if NARROW_RATIO * k < m else 0
@@ -131,21 +129,19 @@ def ones_distribution(n: int, k: int) -> OnesDistribution:
                 down.append((
                     (s + k + 1) * down[-k - 1] - (s + k + power) * down[-k] - (s + 1 - jk) * down[-1]
                 ) // (base - s))
-            row, lo = down[::-1], floor
+            row, lo = down[:floor - m - 2:-1], floor  # p(floor), ..., p(m)
         counts.append(row.pop())
         sums = list(accumulate(row, initial=0))
         row = (sums[1:k] if lo == 0 else []) + list(map(sub, sums[k:], sums))
         if lo:
             lo += k - 1
         power += 1
-    return OnesDistribution(n=n, k=k, counts=tuple(reversed(counts)))
+    return OnesDistribution(n=n, k=given, counts=tuple(reversed(counts)))
 
 
 def popularity(n: int, k: int) -> int:
     """Total number of 1s over all length-n avoiders: [x^n] of ``pk_fraction``."""
-    _check_n(n)
-    _check_k(k)
-    return coefficient(*pk_fraction(k), n)
+    return coefficient(*pk_fraction(_run_length(n, k)), n)
 
 
 def alpha(n: int, k: int) -> Fraction:
@@ -156,8 +152,7 @@ def alpha(n: int, k: int) -> Fraction:
     coefficient of -h_k/g_k, not of the bits series over g_k^2.
     Undefined at n = 0 (0/0).
     """
-    _check_k(k)
-    _check_n(n)
+    run = _run_length(n, k)
     if n == 0:
         raise ValueError("expected bit value undefined at n=0; need n >= 1")
-    return Fraction(coefficient(*pk_fraction(k), n), n * coefficient(*words_fraction(k), n))
+    return Fraction(coefficient(*pk_fraction(run), n), n * coefficient(*words_fraction(run), n))

@@ -41,6 +41,13 @@ def test_count_exits_1_when_the_identity_fails(capsys, monkeypatch):
     assert "[identity FAILED]" in out
 
 
+def test_count_at_a_run_length_far_beyond_the_word(capsys):
+    # any k > n counts all 2^n words; neither coefficient may build O(k) polynomials
+    code, out, _ = run(capsys, "count", "--k", str(10**12), "--n", "10")
+    assert code == 0
+    assert out.count("= 1024") == 2 and "[identity ok]" in out
+
+
 def test_count_json_roundtrip(capsys):
     code, out, _ = run(capsys, "count", "--k", "2", "--n", "40", "--format", "json")
     doc = json.loads(out)
@@ -335,6 +342,16 @@ def test_root_iteration_failure_is_an_internal_failure(capsys, monkeypatch):
     code, out, err = run(capsys, "roots", "--k", "5")
     assert code == 3 and out == ""
     assert err == "error: root iteration for k=5 stalled\n"
+
+
+def test_running_out_of_memory_is_a_one_line_internal_failure(capsys, monkeypatch):
+    def phi(k, precision_digits):
+        raise MemoryError
+
+    monkeypatch.setattr(numerics, "phi", phi)
+    code, out, err = run(capsys, "phi", "--k", "2")
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize(

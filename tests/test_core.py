@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,14 @@ class TestKStepFibonacci:
                 assert core.kstep_fibonacci(n, k) == sum(
                     core.kstep_fibonacci(n - i, k) for i in range(1, k + 1)
                 )
+
+    @pytest.mark.parametrize("k", range(2, 14))
+    def test_matches_the_sum_of_the_previous_k(self, k):
+        # covers i = n - k + 1 < 0, i = 0, 1 and g_k cut below degree k
+        seq = [0] * (k - 1) + [1]
+        while len(seq) <= 4 * k + 4:
+            seq.append(sum(seq[-k:]))
+        assert [core.kstep_fibonacci(n, k) for n in range(4 * k + 5)] == seq
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -79,11 +88,39 @@ class TestCountWords:
                 assert (c1 == 2**n) == (n < k)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_run_lengths_beyond_the_word_count_every_word(n):
+    # a length-n word has no run of more than n 1s; k = n + 1 is still < 2 at n = 0
+    for k in (n + 1, n + 2, n + 3, 10**12):
+        if k < 2:
+            continue
+        assert core.count_words(n, k) == 2**n
+        assert core.popularity(n, k) == n * 2**n // 2
+        if n:
+            assert core.alpha(n, k) == Fraction(1, 2)
+        dist = core.ones_distribution(n, k)
+        assert dist.counts == tuple(comb(n, m) for m in range(n + 1))
+        assert dist.k == k
+
+
 class TestOnesDistribution:
     def test_table_values(self):
         assert core.ones_distribution(4, 2).counts == (1, 4, 3)
         assert core.ones_distribution(5, 3).counts == (1, 5, 10, 7, 1)
         assert core.ones_distribution(0, 2).counts == (1,)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_words_of_length_zero_and_one(self, k):
+        assert core.ones_distribution(0, k).counts == (1,)
+        assert core.ones_distribution(1, k).counts == (1, 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_rows_either_side_of_the_narrow_ratio(self, k, offset):
+        # the first step walks narrow when NARROW_RATIO * k < top, full-row otherwise
+        top = core.NARROW_RATIO * k + offset
+        n = next(n for n in count() if max_ones(n, k) >= top)
+        assert core.ones_distribution(n, k).counts == series.expand_bivariate(k, n).table[n]
 
     def test_row_zero_and_one(self):
         for k in (2, 3, 4):
