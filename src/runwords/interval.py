@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Most attempts of a refine loop, each at twice the digits of the one before.
+# Most attempts of render_decimal, each at twice the digits of the one before.
 MAX_ROUNDS = 12
 
 
@@ -98,21 +98,18 @@ def certified_decimal(enclosure: Interval, digits: int) -> str | None:
     return lo if lo == hi else None
 
 
-def _refine(attempt, work: int):
-    """First result of ``attempt(work)`` that is not None, doubling ``work`` each round."""
-    for _ in range(MAX_ROUNDS):
-        result = attempt(work)
-        if result is not None:
-            return result
-        work *= 2
-    raise RuntimeError(f"no certified result after {MAX_ROUNDS} rounds of refinement")
-
-
 def render_decimal(compute, digits: int) -> str:
     """Certified decimal of a refinable quantity.
 
     ``compute(work_digits)`` must return an enclosure of width below
-    10^-work_digits.  If the enclosure straddles a rounding boundary the
-    precision is escalated rather than printing an uncertain digit.
+    10^-work_digits.  The library's one refine loop: where the enclosure
+    straddles a rounding boundary, the work is doubled, up to MAX_ROUNDS
+    times, rather than printing an uncertain digit.
     """
-    return _refine(lambda work: certified_decimal(compute(work), digits), digits + 2)
+    work = digits + 2
+    for _ in range(MAX_ROUNDS):
+        decimal = certified_decimal(compute(work), digits)
+        if decimal is not None:
+            return decimal
+        work *= 2
+    raise RuntimeError(f"no certified result after {MAX_ROUNDS} rounds of refinement")

@@ -9,9 +9,9 @@ integer mantissas at a scale 2^-s: a sign is read from the outward-
 rounded fixed-point Horner enclosure (``IntPoly._enclose``) a guard
 above the bracket's scale, and from exact integer evaluation only when
 that enclosure contains 0.  The limit and the asymptotic coefficient are
-rational functions of phi_k, evaluated the same way on its enclosure at
-the working precision plus a guard, so mantissa sizes stay proportional
-to the digits asked for.  The complex
+rational functions of phi_k, evaluated the same way in one pass on its
+enclosure at the working precision plus a guard, so mantissa sizes stay
+proportional to the digits asked for.  The complex
 roots are certified too: float Durand-Kerner, one integer fixed-point
 Newton polish, then Smith's disks about the polished doubles, computed
 exactly in Gaussian integers and checked pairwise disjoint, so each
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .interval import Interval, _refine
+from .interval import Interval
 from .poly import IntPoly, _check_k, _check_n, reciprocal_fibonacci_poly
 
 GUARD_DIGITS = 10
@@ -81,19 +81,19 @@ def _sign(poly: IntPoly, m: int, e: int, s: int) -> tuple[int, int]:
 def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Interval:
     """Enclosure of the root of poly in [lo, hi] to width < tol.
 
-    Requires dyadic ends with poly(lo) < 0 < poly(hi), checked exactly,
-    and keeps a sign change at every step, so the bracket is a certified
-    enclosure at all times.  The bracket is a pair of integer mantissas
-    at a scale 2^-e, and signs come from ``_sign``.  Each round takes a
-    Newton step from the bracket midpoint, with value, slope and
-    curvature in truncated fixed point.  Newton about doubles the
+    Requires dyadic ends with poly(lo) < 0 < poly(hi), checked exactly (in
+    integers for int ends), and keeps a sign change at every step, so the
+    bracket is a certified enclosure at all times.  The bracket is a pair of
+    integer mantissas at a scale 2^-e, and signs come from ``_sign``.  Each
+    round takes a Newton step from the bracket midpoint, with value, slope
+    and curvature in truncated fixed point.  Newton about doubles the
     correct bits, so the candidate bracket is the step's result +- 2^-p,
-    with p close to twice the bits of the current width, less the bits
-    of |p''/p'| (but no more than tol needs).  The candidate replaces the
+    with p close to twice the bits of the current width, less the bits of
+    |p''/p'| (but no more than tol needs).  The candidate replaces the
     bracket only if it is at most half as wide and the polynomial changes
     sign across it; otherwise the round bisects at the midpoint instead.
     """
-    lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
+    lo, hi, tol = (x if type(x) is int else Fraction(x) for x in (lo, hi, tol))
     if not poly(lo) < 0 < poly(hi):
         raise ValueError(f"no sign change for coefficients {poly.coeffs} on [{lo}, {hi}]")
     if any(d & (d - 1) for d in (lo.denominator, hi.denominator)):
@@ -142,7 +142,7 @@ def phi(k: int, precision_digits: int = 15) -> Interval:
     """
     _check_params(k, precision_digits)
     tol = Fraction(1, 10**precision_digits)
-    return bisect_root(reciprocal_fibonacci_poly(k), Fraction(1), Fraction(2), tol)
+    return bisect_root(reciprocal_fibonacci_poly(k), 1, 2, tol)
 
 
 def inverse_phi(k: int, precision_digits: int = 15) -> Interval:
@@ -205,19 +205,18 @@ def limit_value(k: int, precision_digits: int = 15) -> Interval:
     (phi - 1)(phi^k - h(phi)) = phi^(k+1) - 2 phi^k + 1 = 0.  So with
     h = (1 - x^k)/(1 - x), x h' = phi (k phi - 2k + 1)/(phi - 1) and
     g' = h + x h' = phi ((k + 1) phi - 2k)/(phi - 1), and the limit is
-    L_k = (k phi - 2k + 1) / ((k + 1) phi - 2k).  Its denominator is
-    2 - (k + 1)/phi^k > 1/2, as phi^k = h(phi) > k.  It is evaluated in
-    fixed point rounded outward on phi_k's enclosure, refined until the
-    result is narrower than 10^-precision_digits.
+    L_k = N/D, N = k phi - 2k + 1, D = (k + 1) phi - 2k = 2 - (k + 1)/phi^k
+    > 1/2, as phi^k = h(phi) > k.  One fixed-point pass, rounded outward on
+    phi_k's enclosure [a, b] of width w < 10^-work, is narrower than
+    10^-precision_digits: L_k moves at (k - 1)/D^2 < 4(k - 1), and the
+    interval quotient, blind to N and D moving together, has width
+    (k w + (k + 1) w N(a)/D(b))/D(a) < (3k + 1) w, as N(a)/D(b) <= L_k < 1/2;
+    roundings add under 10^-work, and 10^(work - precision_digits) > 10^10 k.
     """
     _check_params(k, precision_digits)
-
-    def attempt(work: int) -> Interval | None:
-        s = _work_bits(work)
-        lo, hi = _limit(k, _fixed(phi(k, work), s), s)
-        return _interval(lo, hi, s) if (hi - lo) * 10**precision_digits < 1 << s else None
-
-    return _refine(attempt, precision_digits + GUARD_DIGITS)
+    work = precision_digits + GUARD_DIGITS + len(str(k))
+    s = _work_bits(work)
+    return _interval(*_limit(k, _fixed(phi(k, work), s), s), s)
 
 
 def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 15) -> Interval:
@@ -227,7 +226,11 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     so the coefficient grows like n phi^(n+2) f(1/phi) / g'(1/phi)^2.  With
     ``limit_value``'s g', the bits' f = x h g' = g' gives n phi^(n+1) (phi - 1)
     / ((k + 1) phi - 2k) = n phi^(n+1) (1 - L_k), and the 1s' f = x h' = L_k g'
-    that times L_k.  Returned with relative width below 10^-precision_digits.
+    that times L_k.  One fixed-point pass on phi_k's enclosure of width
+    w < 10^-work is below 10^-precision_digits in relative width, as
+    relative widths add: phi^(n+1) has (n + 1) w, 1 - L_k > 1/2 and L_k > 1/4
+    under (18k + 6) w (``limit_value``), roundings far less; 10^10 k n <
+    10^(work - precision_digits).
     """
     _check_params(k, precision_digits)
     if target not in ("P", "T"):
@@ -235,18 +238,14 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     _check_n(n)
     if n == 0:
         raise ValueError("leading term n * phi^n is meaningless at n=0")
-
-    def attempt(work: int) -> Interval | None:
-        s = _work_bits(work)
-        root = _fixed(phi(k, work), s)
-        limit = _limit(k, root, s)
-        term = _mul(_power(root, n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
-        if target == "P":
-            term = _mul(term, limit, s)
-        lo, hi = n * term[0], n * term[1]
-        return _interval(lo, hi, s) if (hi - lo) * 10**precision_digits < lo else None
-
-    return _refine(attempt, precision_digits + GUARD_DIGITS)
+    work = precision_digits + GUARD_DIGITS + len(str(k * n))
+    s = _work_bits(work)
+    root = _fixed(phi(k, work), s)
+    limit = _limit(k, root, s)
+    term = _mul(_power(root, n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
+    if target == "P":
+        term = _mul(term, limit, s)
+    return _interval(n * term[0], n * term[1], s)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ def _scan(n: int, k: int) -> tuple[int, list[int]]:
     plane b holds bit b of each word's number of 1s so far.
     """
     size = 1 << n
-    ends = [0] * (k - 1)
+    ends = [0] * (min(k, n + 1) - 1)  # a run of more than n 1s never fits
     has_run = 0
     counter = [0] * n.bit_length()
     for j in range(n):

@@ -128,16 +128,16 @@ def words_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     return IntPoly(()) - _h(k), fibonacci_poly(k)
 
 
-def _g_squared(k: int) -> IntPoly:
-    """g_k^2 = x (g_k h_k) - g_k, the denominator of the 1s and bits series.
+def _times_h(p: IntPoly, k: int) -> IntPoly:
+    """p h_k in O(deg p + k) additions: k neighbours summed as a prefix-sum difference."""
+    sums = list(accumulate(p.coeffs + (0,) * (k - 1), initial=0))
+    return IntPoly(sums[1:k] + list(map(sub, sums[k:], sums)))
 
-    Multiplying by h_k sums k neighbouring coefficients, a difference of
-    prefix sums, so the square takes O(k) additions, not O(k^2) products.
-    """
+
+def _g_squared(k: int) -> IntPoly:
+    """g_k^2 = x (g_k h_k) - g_k, the denominator of the 1s and bits series."""
     g = fibonacci_poly(k)
-    sums = list(accumulate(g.coeffs + (0,) * (k - 1), initial=0))
-    g_h = IntPoly(sums[1:k] + list(map(sub, sums[k:], sums)))
-    return _x_power(1) * g_h - g
+    return _x_power(1) * _times_h(g, k) - g
 
 
 def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
@@ -153,8 +153,9 @@ def tk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     """Generating function of the total bit count (n times the word count).
 
     Termwise x*d/dx of the word counts p/q = -h/g: x (p' q - p q') / q^2,
-    whose numerator is x (h g' - h' g).  The library takes T_n as
-    n * count_words(n); this series is ``verify``'s independent route to it.
+    whose numerator x (h g' - h' g) is x (h^2 + h'), since g = x h - 1
+    has g' = h + x h'.  The library takes T_n as n * count_words(n); this
+    series is ``verify``'s independent route to it.
     """
-    p, q = words_fraction(k)
-    return _x_power(1) * (p.derivative() * q - p * q.derivative()), _g_squared(k)
+    square, slope = _times_h(_h(k), k), _h(k).derivative()
+    return _x_power(1) * IntPoly(c + slope[i] for i, c in enumerate(square.coeffs)), _g_squared(k)

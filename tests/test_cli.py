@@ -48,6 +48,13 @@ def test_count_at_a_run_length_far_beyond_the_word(capsys):
     assert out.count("= 1024") == 2 and "[identity ok]" in out
 
 
+def test_list_at_a_run_length_far_beyond_the_word(capsys):
+    # the oracle keeps at most n + 1 planes, not k
+    code, out, _ = run(capsys, "list", "--k", str(10**12), "--n", "3")
+    assert code == 0
+    assert out.splitlines() == [format(w, "03b") for w in range(8)]
+
+
 def test_count_json_roundtrip(capsys):
     code, out, _ = run(capsys, "count", "--k", "2", "--n", "40", "--format", "json")
     doc = json.loads(out)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runwords import core, numerics
-from runwords.interval import Interval
+from runwords.interval import Interval, render_decimal
 from runwords.poly import IntPoly, fibonacci_poly, reciprocal_fibonacci_poly
 from runwords.verify import _distance
 
@@ -78,6 +78,22 @@ class TestBisectRoot:
     def test_refuses_a_bracket_end_that_is_not_dyadic(self):
         with pytest.raises(ValueError, match="dyadic"):
             numerics.bisect_root(IntPoly([-3, 2]), Fraction(1, 3), Fraction(2), Fraction(1, 10))
+
+    def test_int_fraction_and_float_ends_give_one_enclosure(self):
+        poly, tol = reciprocal_fibonacci_poly(5), Fraction(1, 10**40)
+        ends = [(1, 2), (Fraction(1), Fraction(2)), (1.0, 2.0)]
+        encs = [numerics.bisect_root(poly, lo, hi, tol) for lo, hi in ends]
+        assert encs[0] == encs[1] == encs[2]
+        assert numerics.bisect_root(poly, 1.75, 2.0, tol) == numerics.bisect_root(
+            poly, Fraction(7, 4), 2, tol
+        )
+
+    def test_phi_checks_its_bracket_in_integers(self, monkeypatch):
+        points = []
+        evaluate = IntPoly.__call__
+        monkeypatch.setattr(IntPoly, "__call__", lambda p, x: points.append(x) or evaluate(p, x))
+        numerics.phi(40, 30)
+        assert points == [1, 2] and all(type(x) is int for x in points)
 
     def test_exact_root_at_a_midpoint_is_returned_as_a_point(self):
         # 2x - 3 vanishes at the first midpoint: the fixed-point enclosure
@@ -202,6 +218,14 @@ class TestInversePhi:
         assert hi < Fraction(54369, 10**5)
 
 
+def _count_phi_calls(monkeypatch) -> list:
+    """Record each call of numerics.phi made through the module."""
+    calls = []
+    phi = numerics.phi
+    monkeypatch.setattr(numerics, "phi", lambda *args: calls.append(args) or phi(*args))
+    return calls
+
+
 class TestLimitValue:
     def test_k2_closed_form(self):
         # 5 - 10 L_2 = sqrt5, by exact squares
@@ -224,9 +248,22 @@ class TestLimitValue:
                 )
                 assert Fraction(mpmath.nstr(closed, 2 * digits)) in numerics.limit_value(k, digits)
 
-    def test_width_contract(self):
-        for k in (2, 5, 13):
-            assert numerics.limit_value(k, 20).width < Fraction(1, 10**20)
+    def test_width_contract(self, monkeypatch):
+        # met in one pass: one enclosure of phi_k per call
+        calls = _count_phi_calls(monkeypatch)
+        for k in [*range(2, 65), 200, 1000]:
+            for digits in (1, 2, 5, 15, 20):
+                assert numerics.limit_value(k, digits).width < Fraction(1, 10**digits)
+        assert len(calls) == 5 * 65
+
+    def test_guard_digits_keep_rendering_to_one_pass(self):
+        # Without GUARD_DIGITS the enclosure is still narrow enough, but
+        # L_2 at 10 digits and L_32 at 25 straddle a rounding boundary.
+        for k in range(2, 41):
+            for digits in range(1, 31):
+                works = []
+                render_decimal(lambda w: works.append(w) or numerics.limit_value(k, w), digits)
+                assert works == [digits + 2], (k, digits)
 
     def test_below_half_and_rising(self):
         limits = [numerics.limit_value(k) for k in range(2, 13)]
@@ -241,6 +278,16 @@ class TestAsymptoticCoefficient:
             numerics.asymptotic_coefficient(2, "P", 0)
         with pytest.raises(ValueError):
             numerics.asymptotic_coefficient(2, "X", 10)
+
+    def test_relative_width_contract(self, monkeypatch):
+        # met in one pass: one enclosure of phi_k per call
+        calls = _count_phi_calls(monkeypatch)
+        cases = [(k, n, target, digits) for k in (2, 3, 8, 40) for n in (1, 2, 10, 999, 10**5)
+                 for target in "PT" for digits in (1, 15, 100)]
+        for k, n, target, digits in cases:
+            enc = numerics.asymptotic_coefficient(k, target, n, digits)
+            assert enc.width * 10**digits < enc.lo, (k, n, target, digits)
+        assert len(calls) == len(cases)
 
     def test_ratio_approaches_one(self):
         est = numerics.asymptotic_coefficient(2, "P", 1000, 20)

@@ -90,3 +90,15 @@ def test_rejects_bad_params():
         oracle.enumerate_words(4, 1)
     with pytest.raises(ValueError):
         oracle.list_words(-1, 2)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_runs_longer_than_the_word_keep_n_planes(n):
+    # k = 10^12 would need 10^12 planes if every run length had its own
+    far = oracle.enumerate_words(n, 10**12)
+    near = oracle.enumerate_words(n, max(n + 1, 2))
+    assert (far.word_count, far.total_ones, far.distribution) == (
+        near.word_count, near.total_ones, near.distribution
+    )
+    assert far.word_count == 2**n
+    assert oracle.list_words(n, 10**12) == _all_words(n)

@@ -109,6 +109,13 @@ def test_g_squared_is_the_square_of_g(k):
     assert _g_squared(k) == fibonacci_poly(k) * fibonacci_poly(k)
 
 
+@pytest.mark.parametrize("k", [*range(2, 65), 1000])
+def test_tk_numerator_is_the_schoolbook_derivative(k):
+    # x (p' q - p q') for the word counts p/q, by schoolbook products
+    p, q = words_fraction(k)
+    assert tk_fraction(k)[0] == IntPoly([0, 1]) * (p.derivative() * q - p * q.derivative())
+
+
 def test_tk_fraction():
     num, den = tk_fraction(2)
     assert num.coeffs == (0, 2, 2, 1)  # 2x + 2x^2 + x^3
