@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
@@ -20,10 +21,14 @@ from . import core, numerics, oracle, poly, series, verify
 from .interval import render_decimal, round_fraction
 
 
-def _emit(args, plain: str, rows: list[dict], json_doc=None) -> None:
-    """Render one result in the selected format, to stdout or --out."""
+def _emit(args, plain: Callable[[], str], rows: list[dict], json_doc=None) -> None:
+    """Render one result in the selected format, to stdout or --out.
+
+    ``plain()`` builds the plain text; it is called only when that format
+    is selected, so csv and json do not pay for it.
+    """
     if args.format == "plain":
-        text = plain
+        text = plain()
     elif args.format == "csv":
         header = list(rows[0].keys())
         lines = [",".join(header)]
@@ -47,11 +52,14 @@ def cmd_count(args) -> int:
     fib = core.kstep_fibonacci(args.n + args.k, args.k)
     row = {"k": args.k, "n": args.n, "count": count, "kstep_fibonacci": fib,
            "identity_ok": count == fib}
-    plain = (
-        f"|B_{args.n}(1^{args.k})| = {count}\n"
-        f"kstep_fibonacci({args.n + args.k}, {args.k}) = {fib}  "
-        f"[identity {'ok' if count == fib else 'FAILED'}]"
-    )
+
+    def plain():
+        return (
+            f"|B_{args.n}(1^{args.k})| = {count}\n"
+            f"kstep_fibonacci({args.n + args.k}, {args.k}) = {fib}  "
+            f"[identity {'ok' if count == fib else 'FAILED'}]"
+        )
+
     _emit(args, plain, [row], row)
     return 0 if count == fib else 1
 
@@ -59,23 +67,27 @@ def cmd_count(args) -> int:
 def cmd_table1(args) -> int:
     grid = verify.table1_cells(args.k, args.n_max)
     ns = list(range(1, args.n_max + 1))
-    header = ["m\\n"] + [str(n) for n in ns]
-    widths = [max(len(header[0]), 1)] + [
-        max(len(str(n)), max(len(str(row[i])) for row in grid)) for i, n in enumerate(ns)
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for m, row in enumerate(grid):
-        cells = [str(m).rjust(widths[0])]
-        for i, value in enumerate(row):
-            cells.append((str(value) if value else "").rjust(widths[i + 1]))
-        lines.append("  ".join(cells).rstrip())
+
+    def plain():
+        header = ["m\\n"] + [str(n) for n in ns]
+        widths = [max(len(header[0]), 1)] + [
+            max(len(str(n)), max(len(str(row[i])) for row in grid)) for i, n in enumerate(ns)
+        ]
+        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
+        for m, row in enumerate(grid):
+            cells = [str(m).rjust(widths[0])]
+            for i, value in enumerate(row):
+                cells.append((str(value) if value else "").rjust(widths[i + 1]))
+            lines.append("  ".join(cells).rstrip())
+        return "\n".join(lines)
+
     rows = [
         {"k": args.k, "n": n, "m": m, "count": grid[m][i]}
         for m in range(len(grid))
         for i, n in enumerate(ns)
     ]
     doc = {"k": args.k, "n_max": args.n_max, "rows_by_m": grid}
-    _emit(args, "\n".join(lines), rows, doc)
+    _emit(args, plain, rows, doc)
     return 0
 
 
@@ -86,8 +98,7 @@ def cmd_limits(args) -> int:
     for k in range(args.k_min, args.k_max + 1):
         decimal = render_decimal(lambda work, k=k: numerics.limit_value(k, work), args.digits)
         rows.append({"k": k, "limit": decimal})
-    plain = "\n".join(f"{row['k']:>3}  {row['limit']}" for row in rows)
-    _emit(args, plain, rows, rows)
+    _emit(args, lambda: "\n".join(f"{row['k']:>3}  {row['limit']}" for row in rows), rows, rows)
     return 0
 
 
@@ -111,11 +122,14 @@ def cmd_alpha_series(args) -> int:
                 "limit_decimal": limit_decimal,
             }
         )
-    plain = "\n".join(
-        f"n={row['n']:>5}  alpha={row['alpha_num']}/{row['alpha_den']}"
-        f" = {row['alpha_decimal']}  (limit {row['limit_decimal']})"
-        for row in rows
-    )
+
+    def plain():
+        return "\n".join(
+            f"n={row['n']:>5}  alpha={row['alpha_num']}/{row['alpha_den']}"
+            f" = {row['alpha_decimal']}  (limit {row['limit_decimal']})"
+            for row in rows
+        )
+
     _emit(args, plain, rows, rows)
     return 0
 
@@ -124,7 +138,7 @@ def cmd_phi(args) -> int:
     decimal = render_decimal(lambda work: numerics.phi(args.k, work), args.digits)
     inverse = render_decimal(lambda work: numerics.inverse_phi(args.k, work), args.digits)
     row = {"k": args.k, "phi": decimal, "inverse_phi": inverse}
-    _emit(args, f"phi_{args.k} = {decimal}\n1/phi_{args.k} = {inverse}", [row], row)
+    _emit(args, lambda: f"phi_{args.k} = {decimal}\n1/phi_{args.k} = {inverse}", [row], row)
     return 0
 
 
@@ -148,11 +162,14 @@ def cmd_roots(args) -> int:
         }
         for z, radius in zip(roots.roots, roots.error_radii)
     ]
-    plain = "\n".join(
-        f"{row['re']:>22} {row['im']:>22}i  |r|={row['modulus']}"
-        f"  (err<={row['error_radius']})"
-        for row in rows
-    )
+
+    def plain():
+        return "\n".join(
+            f"{row['re']:>22} {row['im']:>22}i  |r|={row['modulus']}"
+            f"  (err<={row['error_radius']})"
+            for row in rows
+        )
+
     _emit(args, plain, rows, rows)
     return 0
 
@@ -163,37 +180,40 @@ def cmd_dist(args) -> int:
         {"k": args.k, "n": args.n, "m": m, "count": c}
         for m, c in enumerate(dist.counts)
     ]
-    plain = "\n".join(f"m={row['m']:>3}  {row['count']}" for row in rows)
     doc = {"k": args.k, "n": args.n, "counts": list(dist.counts)}
-    _emit(args, plain, rows, doc)
+    _emit(args, lambda: "\n".join(f"m={row['m']:>3}  {row['count']}" for row in rows), rows, doc)
     return 0
 
 
 def cmd_popularity(args) -> int:
     value = core.popularity(args.n, args.k)
     row = {"k": args.k, "n": args.n, "popularity": value}
-    _emit(args, str(value), [row], row)
+    _emit(args, lambda: str(value), [row], row)
     return 0
 
 
 def cmd_list(args) -> int:
     words = oracle.list_words(args.n, args.k)
     rows = [{"k": args.k, "n": args.n, "word": w} for w in words]
-    _emit(args, "\n".join(words), rows, words)
+    _emit(args, lambda: "\n".join(words), rows, words)
     return 0
 
 
 def cmd_verify(args) -> int:
     results = verify.run_checks(args.level)
     ok = all(r.passed for r in results)
-    plain_lines = [
-        f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  ({r.detail})" if r.detail else "")
-        for r in results
-    ]
-    plain_lines.append(f"{'all checks passed' if ok else 'VERIFICATION FAILED'}")
+
+    def plain():
+        lines = [
+            f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  ({r.detail})" if r.detail else "")
+            for r in results
+        ]
+        lines.append(f"{'all checks passed' if ok else 'VERIFICATION FAILED'}")
+        return "\n".join(lines)
+
     rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     doc = {"level": args.level, "passed": ok, "checks": rows}
-    _emit(args, "\n".join(plain_lines), rows, doc)
+    _emit(args, plain, rows, doc)
     return 0 if ok else 1
 
 

@@ -4,7 +4,10 @@ The ground-truth root method is safeguarded Newton iteration on a
 bracket certified by a sign change of the integer polynomial: Newton
 steps from dyadic points propose narrower brackets, each kept only if
 the polynomial changes sign across it, and bisection takes over when a
-step fails.  Every enclosure is therefore certified.  Values are
+step fails.  ``phi`` seeds it with a float64 Newton estimate of phi_k:
+the estimate +- 2^-SEED_BITS is one more candidate bracket, kept under
+the same sign-change certificate, so the float only saves rounds and
+never decides a digit.  Every enclosure is therefore certified.  Values are
 integer mantissas at a scale 2^-s: a sign is read from the outward-
 rounded fixed-point Horner enclosure (``IntPoly._enclose``) a guard
 above the bracket's scale, and from exact integer evaluation only when
@@ -31,6 +34,9 @@ from .poly import IntPoly, _check_k, _check_n, reciprocal_fibonacci_poly
 GUARD_DIGITS = 10
 # Bits kept beyond the working precision in every fixed-point evaluation.
 GUARD_BITS = 64
+# Half-width 2^-SEED_BITS of the candidate bracket about a float64 root
+# estimate, which holds about 50 correct bits.
+SEED_BITS = 44
 # Margin, in bits, between a Newton candidate bracket and the error
 # estimate |p''/p'| (width/2)^2 of the step; a step that falls short
 # anyway fails its certificate and the round bisects.
@@ -78,27 +84,51 @@ def _sign(poly: IntPoly, m: int, e: int, s: int) -> tuple[int, int]:
     return (value > 0) - (value < 0), lo
 
 
-def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Interval:
+def _brackets(poly: IntPoly, a: int, b: int, e: int) -> bool:
+    """Whether a < b and poly changes sign from below 0 at a 2^-e to above 0 at b 2^-e."""
+    s = e + GUARD_BITS
+    return a < b and _sign(poly, a, e, s)[0] < 0 < _sign(poly, b, e, s)[0]
+
+
+def bisect_root(
+    poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction, guess: float | None = None
+) -> Interval:
     """Enclosure of the root of poly in [lo, hi] to width < tol.
 
-    Requires dyadic ends with poly(lo) < 0 < poly(hi), checked exactly (in
-    integers for int ends), and keeps a sign change at every step, so the
-    bracket is a certified enclosure at all times.  The bracket is a pair of
-    integer mantissas at a scale 2^-e, and signs come from ``_sign``.  Each
-    round takes a Newton step from the bracket midpoint, with value, slope
-    and curvature in truncated fixed point.  Newton about doubles the
-    correct bits, so the candidate bracket is the step's result +- 2^-p,
-    with p close to twice the bits of the current width, less the bits of
-    |p''/p'| (but no more than tol needs).  The candidate replaces the
-    bracket only if it is at most half as wide and the polynomial changes
-    sign across it; otherwise the round bisects at the midpoint instead.
+    Requires tol > 0 and dyadic ends with poly(lo) < 0 < poly(hi), checked
+    exactly (in integers for int ends), and keeps a sign change at every
+    step, so the bracket is a certified enclosure at all times.  The bracket
+    is a pair of integer mantissas at a scale 2^-e, and signs come from
+    ``_sign``.  A float ``guess`` of the root proposes the bracket
+    guess +- 2^-SEED_BITS, clipped to [lo, hi], which replaces [lo, hi]
+    only if the polynomial changes sign across it; a wrong guess costs two
+    signs and nothing else.  Each round takes a Newton step from the bracket
+    midpoint, with value, slope and curvature in truncated fixed point.
+    Newton about doubles the correct bits, so the candidate bracket is the
+    step's result +- 2^-p, with p at most twice the bits of the current
+    width, less the bits of |p''/p'|, and no more than tol needs.  Within
+    that reach p is the lowest rung of a ladder that halves from tol's bits
+    (Brent's precision schedule), so each later step reaches the next rung
+    and the last lands on tol from about half its bits, wherever the bracket
+    started.  The candidate replaces the bracket only if it is at most half
+    as wide and the polynomial changes sign across it; otherwise the round
+    bisects at the midpoint instead.
     """
     lo, hi, tol = (x if type(x) is int else Fraction(x) for x in (lo, hi, tol))
+    if not tol > 0:
+        raise ValueError(f"need tol > 0, got {tol}")
     if not poly(lo) < 0 < poly(hi):
         raise ValueError(f"no sign change for coefficients {poly.coeffs} on [{lo}, {hi}]")
     if any(d & (d - 1) for d in (lo.denominator, hi.denominator)):
         raise ValueError(f"need dyadic bracket ends, got [{lo}, {hi}]")
     (a, b), e = _dyadic([lo, hi])
+    if guess is not None:
+        (g,), f = _dyadic([guess])
+        q = max(e, f, SEED_BITS)
+        g, r = g << (q - f), 1 << (q - SEED_BITS)
+        a2, b2 = max(a << (q - e), g - r), min(b << (q - e), g + r)
+        if _brackets(poly, a2, b2, q):
+            a, b, e = a2, b2, q
     slope = poly.derivative()
     bend = slope.derivative()
     tol_bits = tol.denominator.bit_length() - tol.numerator.bit_length()
@@ -116,14 +146,18 @@ def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Int
         if derivative != 0:
             curvature = abs(bend._enclose(x, e + GUARD_BITS)[0])
             curvature_bits = (-(-curvature // abs(derivative))).bit_length()
-            p = min(2 * width_bits - curvature_bits - NEWTON_SLACK_BITS, tol_bits + 3)
+            reach = 2 * width_bits - curvature_bits - NEWTON_SLACK_BITS
+            top, floor = tol_bits + 3, curvature_bits + NEWTON_SLACK_BITS + 4
+            p = min(reach, top)
+            if floor < reach < top:
+                # the lowest rung floor + (top - floor) / 2^j within reach
+                j = ((top - floor - 1) // (reach - floor)).bit_length()
+                p = floor - ((floor - top) >> j)
             q = max(p, e) + 2  # the step's two roundings stay below 2^-p / 2
             step = (mid << (q - e)) - (value << (q + e + GUARD_BITS - w)) // derivative
             a2 = max(a << (q - e), step - (1 << (q - p)))
             b2 = min(b << (q - e), step + (1 << (q - p)))
-            if 0 < 2 * (b2 - a2) < (b - a) << (q - e) and (
-                _sign(poly, a2, q, q + GUARD_BITS)[0] < 0 < _sign(poly, b2, q, q + GUARD_BITS)[0]
-            ):
+            if 2 * (b2 - a2) < (b - a) << (q - e) and _brackets(poly, a2, b2, q):
                 a, b, e = a2, b2, q
                 continue
         if sign < 0:
@@ -133,16 +167,36 @@ def bisect_root(poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Int
     return _interval(a, b, e)
 
 
+def _phi_float(k: int) -> float:
+    """Float64 estimate of phi_k, by Newton from 2 on x^(k+1) - 2x^k + 1.
+
+    That is (x - 1)(x^k - h_k(x)); divided by x^(k-1), the step is
+    (x (x - 2) + x^(1-k)) / (k (x - 2) + x).  On [phi_k, 2] the
+    polynomial is increasing (slope x^(k-1) D, D > 1/2 as in
+    ``limit_value``) and convex, so the iterates fall to phi_k; the loop
+    ends at the first step that does not lower x.  Nothing overflows:
+    x^(1-k) underflows to 0 for large k, which leaves x = 2.0.
+    """
+    x = 2.0
+    while True:
+        y = x - (x * (x - 2) + x ** (1 - k)) / (k * (x - 2) + x)
+        if not y < x:
+            return x
+        x = y
+
+
 def phi(k: int, precision_digits: int = 15) -> Interval:
     """Generalized golden ratio: the unique root in (1, 2) of
     x^k - x^(k-1) - ... - x - 1, enclosed to width < 10^-precision_digits.
 
     The bracket [1, 2] is certified (values 1-k < 0 and 1 > 0) and the
-    positive root is unique by Descartes' rule of signs.
+    positive root is unique by Descartes' rule of signs.  The root
+    finder starts from ``_phi_float``'s estimate where its bracket is
+    certified too, and from [1, 2] otherwise.
     """
     _check_params(k, precision_digits)
     tol = Fraction(1, 10**precision_digits)
-    return bisect_root(reciprocal_fibonacci_poly(k), 1, 2, tol)
+    return bisect_root(reciprocal_fibonacci_poly(k), 1, 2, tol, _phi_float(k))
 
 
 def inverse_phi(k: int, precision_digits: int = 15) -> Interval:

@@ -155,6 +155,28 @@ def test_alpha_series_output_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, trailing newline included, as printed at commit
+# 4490545, where every command built its plain text whatever the format.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("dist", "--k", "2", "--n", "2000", "--format", "json"),
+         "4aa9b94dd04bb0b252e4ecc53e973491fa82d1714f5f606d7a17c68752fabca0"),
+        (("dist", "--k", "3", "--n", "300"),
+         "c62ad4db5d5a720f91246631bc299cb6a68533664ea31468891fcd6d6cdd4a31"),
+        (("table1", "--k", "3", "--n-max", "20", "--format", "csv"),
+         "9ca6d806db3cbf27f05669994bdcb7f54336cb5db4525adfc6871f556d7b54b5"),
+        (("table1", "--k", "4", "--n-max", "39"),
+         "e8fde2c1275c28f5f3519f68d933a6745474968f12e206b8e1c6f0137af029e1"),
+    ],
+    ids=["dist-json", "dist-plain", "table1-csv", "table1-plain"],
+)
+def test_dist_and_table1_output_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_phi(capsys):
     code, out, _ = run(capsys, "phi", "--k", "2", "--digits", "15")
     assert "1.618033988749895" in out

@@ -58,6 +58,15 @@ class TestPhi:
         assert enc.lo - slack <= mantissa * Fraction(2) ** exponent <= enc.hi + slack
 
 
+def _exact_sign(poly: IntPoly, x: Fraction) -> int:
+    """Sign of poly(x) for x = n / d, from the integer d^deg poly(x), by Horner."""
+    n, d = x.numerator, x.denominator
+    value, scale = 0, 1
+    for c in reversed(poly.coeffs):
+        value, scale = value * n + c * scale, scale * d
+    return (value > 0) - (value < 0)
+
+
 class TestBisectRoot:
     def test_bisects_where_newton_leaves_the_bracket(self):
         # x^9 - 2 is flat at the midpoint 1/2 of [-1, 2]: the Newton step
@@ -94,6 +103,90 @@ class TestBisectRoot:
         monkeypatch.setattr(IntPoly, "__call__", lambda p, x: points.append(x) or evaluate(p, x))
         numerics.phi(40, 30)
         assert points == [1, 2] and all(type(x) is int for x in points)
+
+    @pytest.mark.parametrize("tol", [Fraction(0), 0, Fraction(-1, 10), -1.0])
+    def test_refuses_a_tolerance_that_is_not_positive(self, tol):
+        # With tol <= 0 the loop test never fails: it would bisect forever.
+        with pytest.raises(ValueError, match="tol"):
+            numerics.bisect_root(reciprocal_fibonacci_poly(3), 1, 2, tol)
+
+    @pytest.mark.parametrize("digits", [1, 15, 50, 300])
+    def test_phi_takes_the_seeded_bracket(self, monkeypatch, digits):
+        signs = []
+        sign = numerics._sign
+        monkeypatch.setattr(
+            numerics, "_sign",
+            lambda p, m, e, s: signs.append((Fraction(m, 1 << e), sign(p, m, e, s)[0]))
+            or sign(p, m, e, s),
+        )
+        for k in [*range(2, 65), 200, 1000]:
+            signs.clear()
+            guess = Fraction(numerics._phi_float(k))
+            half = Fraction(1, 1 << numerics.SEED_BITS)
+            lo, hi = max(1, guess - half), min(2, guess + half)
+            enc = numerics.phi(k, digits)
+            # the seed's two signs come first and certify [lo, hi]; every
+            # later sign is taken inside it, so the loop never saw [1, 2]
+            assert signs[:2] == [(lo, -1), (hi, 1)], k
+            assert all(lo <= x <= hi for x, _ in signs), k
+            assert lo <= enc.lo <= enc.hi <= hi
+            assert enc.width < Fraction(1, 10**digits)
+            poly = reciprocal_fibonacci_poly(k)
+            assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi), k
+
+    @pytest.mark.parametrize(
+        "k, digits", [(2, 3002), (8, 3002), (40, 3002), (40, 5002), (300, 1002)]
+    )
+    def test_newton_steps_climb_a_ladder_to_tol(self, monkeypatch, k, digits):
+        # Every sign before the last step's certificate is taken below about
+        # half of tol's bits: the last step lands on tol from there, however
+        # the doubling from the seed's 2^-44 lines up with tol.
+        scales = []
+        sign = numerics._sign
+        monkeypatch.setattr(
+            numerics, "_sign", lambda p, m, e, s: scales.append(e) or sign(p, m, e, s)
+        )
+        numerics.phi(k, digits)
+        tol_bits = (10**digits).bit_length() - 1
+        assert max(scales) >= tol_bits
+        assert all(e <= tol_bits // 2 + 40 or e >= tol_bits for e in scales)
+
+    @pytest.mark.parametrize(
+        "poly, lo, guess",
+        [
+            (reciprocal_fibonacci_poly(5), 1, 2.5),  # outside [lo, hi], above
+            (reciprocal_fibonacci_poly(5), 1, 0.5),  # outside [lo, hi], below
+            (reciprocal_fibonacci_poly(5), 1, numerics._phi_float(5) + 2.0**-10),
+            (reciprocal_fibonacci_poly(5), 1, numerics._phi_float(5) - 2.0**-10),
+            (reciprocal_fibonacci_poly(5), 1, 1.0),  # at a bracket end, and wrong
+            (reciprocal_fibonacci_poly(5), 1, 2.0),
+            (reciprocal_fibonacci_poly(40), 1, 1.0),
+            # -(3x - 2)(x - 3) is below 0 near 3.5 and above 0 at 2: the
+            # candidate's ends have the right signs but the wrong order
+            (IntPoly([-6, 11, -3]), 0, 3.5),
+        ],
+    )
+    def test_a_wrong_guess_leaves_the_unseeded_enclosure(self, poly, lo, guess):
+        tol = Fraction(1, 10**60)
+        enc = numerics.bisect_root(poly, lo, 2, tol, guess)
+        assert enc == numerics.bisect_root(poly, lo, 2, tol)
+        assert enc.width < tol
+        assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi)
+
+    @pytest.mark.parametrize("k", [53, 300])
+    def test_a_guess_at_a_bracket_end_can_be_right(self, k):
+        # phi_k is within 2^(1-k) of 2, so [2 - 2^-44, 2] holds it.
+        assert numerics._phi_float(k) == 2.0
+        poly, tol = reciprocal_fibonacci_poly(k), Fraction(1, 10**300)
+        enc = numerics.bisect_root(poly, 1, 2, tol, 2.0)
+        assert 2 - Fraction(1, 1 << numerics.SEED_BITS) <= enc.lo
+        assert enc.width < tol
+        assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi)
+
+    def test_float_estimate_ends_finite(self):
+        for k in [*range(2, 300), 10**3, 10**4, 10**5, 2**20 - 1, 10**6]:
+            x = numerics._phi_float(k)
+            assert math.isfinite(x) and 1.5 <= x <= 2, k
 
     def test_exact_root_at_a_midpoint_is_returned_as_a_point(self):
         # 2x - 3 vanishes at the first midpoint: the fixed-point enclosure
