@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a failed identity check of ``count``), 2 usage error, 3 internal
 failure (no certified result after refinement, a root iteration that did
 not converge, root disks that could not be certified, ``verify full``
-without mpmath, its independent referee, or running out of memory).
+without mpmath, its independent referee, running out of memory, or a size
+beyond the machine's index range, as for ``phi``'s degree-k polynomial at
+k = 10^23).
 """
 
 from __future__ import annotations
@@ -314,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError:  # its message is empty
         print("error: out of memory", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # a list or integer too large to index
+        print(f"error: too large to compute: {exc}", file=sys.stderr)
         return 3
 
 

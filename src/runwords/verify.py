@@ -7,6 +7,7 @@ pass/fail result so the CLI can emit a machine-readable report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -149,17 +150,20 @@ def check_functional_equation(n_max: int, k_max: int) -> CheckResult:
 def _inside_annulus(x: Fraction, y: Fraction, r: Fraction, k: int) -> bool:
     """Whether the disk |z - c| <= r, c = x + iy, lies in 3^(-1/k) < |z| < 1, exactly.
 
-    That is r < |c|, (|c| + r)^2 < 1 and 9 (|c| - r)^(2k) > 1.  With
-    s = |c|^2, the power is a + b sqrt(s) for rationals a, b, and the
-    sign of 9a - 1 + 9b sqrt(s) follows from comparing squares.
+    That is r < |c|, (|c| + r)^2 < 1 and 9 (|c| - r)^(2k) > 1.  Over a
+    common denominator d the disk is (u + iv, t) / d for integers u, v, t;
+    with s = u^2 + v^2, d^j (|c| - r)^j = a + b sqrt(s) for integers a, b,
+    and the sign of 9a - d^(2k) + 9b sqrt(s) follows from comparing squares.
     """
-    s = x * x + y * y
-    if not (r * r < s and r < 1 and s < (1 - r) ** 2):
+    d = math.lcm(x.denominator, y.denominator, r.denominator)
+    u, v, t = (c.numerator * (d // c.denominator) for c in (x, y, r))
+    s = u * u + v * v
+    if not (t * t < s and t < d and s < (d - t) ** 2):
         return False
-    a, b = Fraction(1), Fraction(0)
-    for _ in range(2 * k):  # (a + b sqrt(s)) (sqrt(s) - r)
-        a, b = b * s - a * r, a - b * r
-    a, b = 9 * a - 1, 9 * b
+    a, b = 1, 0
+    for _ in range(2 * k):  # (a + b sqrt(s)) (sqrt(s) - t)
+        a, b = b * s - a * t, a - b * t
+    a, b = 9 * a - d ** (2 * k), 9 * b
     return (a > 0 or b * b * s > a * a) and (b > 0 or a * a > b * b * s)
 
 
@@ -174,8 +178,10 @@ def check_root_structure() -> CheckResult:
             (Fraction(z.real), Fraction(z.imag), Fraction(r))
             for z, r in zip(roots.roots, roots.error_radii)
         ]
-        for i, (x, y, r) in enumerate(disks):
-            for u, v, t in disks[:i]:
+        d = math.lcm(*(c.denominator for disk in disks for c in disk))
+        scaled = [tuple(c.numerator * (d // c.denominator) for c in disk) for disk in disks]
+        for i, (x, y, r) in enumerate(scaled):
+            for u, v, t in scaled[:i]:
                 if not (x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2:
                     return _check("root_structure", False, f"k={k}: root disks overlap")
         dominant = max(disks, key=lambda disk: disk[0] ** 2 + disk[1] ** 2)
@@ -273,53 +279,62 @@ def check_corollary() -> CheckResult:
     return _check("corollary", True, f"k=2..{k_max} strictly rising below 1/2")
 
 
-def _mpmath_value(name: str, k: int) -> Fraction:
-    """phi_k, 1/phi_k or the limit, from mpmath alone at its current precision.
+# The largest precision an enclosure_soundness trial draws; the referee
+# works at 2 * MAX_DIGITS + 10 digits, enough for every trial.
+MAX_DIGITS = 30
+
+
+def _mpmath_references(k: int) -> dict[str, Fraction]:
+    """phi_k, 1/phi_k and the limit, from mpmath alone at 2*MAX_DIGITS + 10 digits.
 
     The roots come from ``mpmath.findroot`` on the defining polynomials
-    written out here, and the limit from its closed form at x = 1/phi_k,
-    so nothing is shared with the production path.
+    written out here and evaluated by ``mpmath.polyval`` (Horner's rule),
+    and the limit from its closed form at x = 1/phi_k, so nothing is
+    shared with the production path.
     """
     import mpmath  # the independent referee, loaded only by the checks that use it
 
-    if name == "phi":
-        value = mpmath.findroot(
-            lambda z: z**k - sum(z**i for i in range(k)), (1, 2), solver="anderson"
+    with mpmath.workdps(2 * MAX_DIGITS + 10):
+        phi = mpmath.findroot(
+            lambda z: mpmath.polyval([1] + [-1] * k, z), (1, 2), solver="anderson"
         )
-    else:
         x = mpmath.findroot(
-            lambda z: sum(z**i for i in range(1, k + 1)) - 1, (0, 1), solver="anderson"
+            lambda z: mpmath.polyval([1] * k + [-1], z), (0, 1), solver="anderson"
         )
-        value = x
-        if name == "limit_value":
-            value = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
-                k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
-            )
-    mantissa, exponent = value.man_exp
-    return mantissa * Fraction(2) ** exponent
+        limit = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
+            k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
+        )
+    references = {}
+    for name, value in (("phi", phi), ("inverse_phi", x), ("limit_value", limit)):
+        mantissa, exponent = value.man_exp
+        references[name] = mantissa * Fraction(2) ** exponent
+    return references
 
 
 def check_enclosure_soundness() -> CheckResult:
     """Randomized enclosures at two precisions, against each other and against mpmath.
 
-    The mpmath value is computed at 2*digits + 10 digits, so it may sit
-    outside an enclosure by no more than 10^-(2*digits + 5).
+    A trial at ``digits`` compares both enclosures with an mpmath value
+    computed at 2*MAX_DIGITS + 10 >= 2*digits + 10 digits, which may
+    therefore sit outside an enclosure by no more than 10^-(2*digits + 5).
+    The references are computed once per k in each call, never kept
+    between calls.
     """
     import random
 
-    import mpmath
-
     trials = 100
     rng = random.Random(20240826)
+    references: dict[int, dict[str, Fraction]] = {}
     for _ in range(trials):
         k = rng.randint(2, 20)
-        digits = rng.randint(3, 30)
+        digits = rng.randint(3, MAX_DIGITS)
         compute = rng.choice([numerics.phi, numerics.inverse_phi, numerics.limit_value])
         coarse = compute(k, digits)
         fine = compute(k, 2 * digits)
         widened = Interval(coarse.lo - coarse.width, coarse.hi + coarse.width)
-        with mpmath.workdps(2 * digits + 10):
-            reference = _mpmath_value(compute.__name__, k)
+        if k not in references:
+            references[k] = _mpmath_references(k)
+        reference = references[k][compute.__name__]
         slack = Fraction(1, 10 ** (2 * digits + 5))
         if fine not in widened or not all(
             enc.lo - slack <= reference <= enc.hi + slack for enc in (coarse, fine)

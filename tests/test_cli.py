@@ -383,6 +383,25 @@ def test_running_out_of_memory_is_a_one_line_internal_failure(capsys, monkeypatc
     assert err == "error: out of memory\n"
 
 
+HUGE_K = "100000000000000000000000"  # 10^23: phi_k's polynomial cannot even be indexed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi", "--k", HUGE_K, "--digits", "5"],
+        ["limits", "--k-min", HUGE_K, "--k-max", HUGE_K],
+        ["alpha-series", "--k", HUGE_K, "--n-max", "5"],
+    ],
+    ids=["phi", "limits", "alpha-series"],
+)
+def test_a_size_beyond_the_index_range_is_a_one_line_internal_failure(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: too large to compute: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, flag, value",
     [

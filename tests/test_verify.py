@@ -1,5 +1,7 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
+import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -13,16 +15,42 @@ def test_table1_cells_refuses_an_empty_grid():
         verify.table1_cells(2, 0)
 
 
-def test_enclosure_soundness_catches_a_self_consistent_wrong_value(monkeypatch):
+@pytest.mark.parametrize(
+    "name, wrong",
+    # Each just outside the range of the true values for k = 2..20.
+    [("phi", Fraction(2)), ("inverse_phi", Fraction(1, 2)), ("limit_value", Fraction(1, 2))],
+    ids=["phi", "inverse_phi", "limit_value"],
+)
+def test_enclosure_soundness_catches_a_self_consistent_wrong_value(monkeypatch, name, wrong):
     # A point enclosure agrees with itself at every precision, so only the
-    # independent mpmath reference can tell that it is wrong.
-    def phi(k, precision_digits=15):
-        return Interval(Fraction(3, 2), Fraction(3, 2))
+    # independent mpmath reference can tell that it is wrong.  The check
+    # sees the wrong function alone: the others keep the true values.
+    def point(k, precision_digits=15):
+        return Interval(wrong, wrong)
 
-    monkeypatch.setattr(numerics, "phi", phi)
+    point.__name__ = name
+    functions = {f: getattr(numerics, f) for f in ("phi", "inverse_phi", "limit_value")}
+    monkeypatch.setattr(verify, "numerics", SimpleNamespace(**{**functions, name: point}))
     result = verify.check_enclosure_soundness()
     assert not result.passed
-    assert "phi(" in result.detail
+    assert result.detail.startswith(f"{name}(k=")
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_referee_is_as_precise_as_the_largest_trial_needs(k):
+    # The fixed-precision references against 200-digit roots: within the
+    # slack of a trial at MAX_DIGITS, the tightest any trial allows.
+    references = verify._mpmath_references(k)
+    with mpmath.workdps(200):
+        phi = mpmath.findroot(lambda z: z**k - sum(z**i for i in range(k)), (1, 2))
+        x = 1 / phi
+        limit = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
+            k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
+        )
+    slack = Fraction(1, 10 ** (2 * verify.MAX_DIGITS + 5))
+    for name, value in (("phi", phi), ("inverse_phi", x), ("limit_value", limit)):
+        mantissa, exponent = value.man_exp
+        assert abs(references[name] - mantissa * Fraction(2) ** exponent) < slack, name
 
 
 @pytest.mark.parametrize(
@@ -103,3 +131,43 @@ def test_annulus_test_is_exact():
     assert not inside(Fraction(98, 100), Fraction(0), Fraction(2, 100), 2)
     assert inside(Fraction(0), Fraction(97, 100), Fraction(2, 100), 2)
     assert not inside(Fraction(0), Fraction(1, 100), Fraction(2, 100), 2)
+
+
+def _annulus_reference(x, y, r, k):
+    # The reference: the same test in Fraction arithmetic, with s = |c|^2
+    # and (|c| - r)^(2k) = a + b sqrt(s) for rationals a, b.
+    s = x * x + y * y
+    if not (r * r < s and r < 1 and s < (1 - r) ** 2):
+        return False
+    a, b = Fraction(1), Fraction(0)
+    for _ in range(2 * k):  # (a + b sqrt(s)) (sqrt(s) - r)
+        a, b = b * s - a * r, a - b * r
+    a, b = 9 * a - 1, 9 * b
+    return (a > 0 or b * b * s > a * a) and (b > 0 or a * a > b * b * s)
+
+
+# Dyadic rationals m / 2^e in (-1, 1), each with its own denominator.
+unit_dyadics = st.integers(0, 60).flatmap(
+    lambda e: st.integers(1 - 2**e, 2**e - 1).map(lambda m: Fraction(m, 2**e))
+)
+
+
+@given(unit_dyadics, unit_dyadics, unit_dyadics.map(lambda r: abs(r) / 16), st.integers(2, 10))
+@example(Fraction(59, 100), Fraction(0), Fraction(1, 100), 2)  # not dyadic
+@example(Fraction(59, 64), Fraction(0), Fraction(1, 64), 10)  # inside: 0.906 > 3^(-1/10) = 0.896
+@example(Fraction(29, 32), Fraction(0), Fraction(1, 64), 10)  # 0.891: crosses the inner circle
+@example(Fraction(3, 4), Fraction(1, 2), Fraction(1, 32), 7)  # inside, off the real axis
+def test_integer_annulus_test_agrees_with_fractions(x, y, r, k):
+    assert verify._inside_annulus(x, y, r, k) == _annulus_reference(x, y, r, k)
+
+
+def test_root_structure_counts_touching_disks_as_overlapping(monkeypatch):
+    # |c1 - c2| = |3/8 + i/2| = 5/8 = r1 + r2 exactly: the disks share a point.
+    def touching(k):
+        roots = (1.625 + 0j, 1.25 - 0.5j)
+        return numerics.ComplexRootSet(k=k, roots=roots, error_radii=(0.25, 0.375))
+
+    monkeypatch.setattr(numerics, "all_roots", touching)
+    result = verify.check_root_structure()
+    assert not result.passed
+    assert result.detail == "k=2: root disks overlap"
