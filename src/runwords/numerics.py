@@ -1,24 +1,23 @@
 """Certified numerics: the dominant root, root geometry, asymptotics.
 
-The ground-truth root method is safeguarded Newton iteration on a
-bracket certified by a sign change of the integer polynomial: Newton
-steps from dyadic points propose narrower brackets, each kept only if
-the polynomial changes sign across it, and bisection takes over when a
-step fails.  ``phi`` seeds it with a float64 Newton estimate of phi_k:
-the estimate +- 2^-SEED_BITS is one more candidate bracket, kept under
-the same sign-change certificate, so the float only saves rounds and
-never decides a digit.  Every enclosure is therefore certified.  Values are
-integer mantissas at a scale 2^-s: a sign is read from the outward-
-rounded fixed-point Horner enclosure (``IntPoly._enclose``) a guard
-above the bracket's scale, and from exact integer evaluation only when
-that enclosure contains 0.  The limit and the asymptotic coefficient are
-rational functions of phi_k, evaluated the same way in one pass on its
-enclosure at the working precision plus a guard, so mantissa sizes stay
-proportional to the digits asked for.  The complex
-roots are certified too: float Durand-Kerner, one integer fixed-point
-Newton polish, then Smith's disks about the polished doubles, computed
-exactly in Gaussian integers and checked pairwise disjoint, so each
-disk holds exactly one root.  No step uses mpmath.
+The ground-truth root method is Newton iteration certified once:
+uncertified fixed-point Newton steps climb a precision ladder that
+halves from the target width, starting in ``phi`` from a float64
+estimate of phi_k, and the bracket of the target width about the last
+iterate is returned only if the integer polynomial changes sign across
+it; otherwise bisection of the given bracket takes over.  The float only
+saves work and never decides a digit, and every enclosure is certified
+by a sign change.  Values are integer mantissas at a scale 2^-s: a sign
+is read from the outward-rounded fixed-point Horner enclosure
+(``IntPoly._enclose``) a guard above the bracket's scale, and from exact
+integer evaluation only when that enclosure contains 0.  The limit and
+the asymptotic coefficient are rational functions of phi_k, evaluated
+the same way in one pass on its enclosure at the working precision plus
+a guard, so mantissa sizes stay proportional to the digits asked for.
+The complex roots are certified too: float Durand-Kerner, one integer
+fixed-point Newton polish, then Smith's disks about the polished
+doubles, computed exactly in Gaussian integers and checked pairwise
+disjoint, so each disk holds exactly one root.  No step uses mpmath.
 """
 
 from __future__ import annotations
@@ -34,13 +33,11 @@ from .poly import IntPoly, _check_k, _check_n, reciprocal_fibonacci_poly
 GUARD_DIGITS = 10
 # Bits kept beyond the working precision in every fixed-point evaluation.
 GUARD_BITS = 64
-# Half-width 2^-SEED_BITS of the candidate bracket about a float64 root
-# estimate, which holds about 50 correct bits.
+# Bits that a float64 root estimate is trusted to hold (it holds about
+# 50).  The Newton ladder stops halving at SEED_BITS // 2, and the
+# certificate's grid 2^-t has t >= SEED_BITS + 2, so at a few digits the
+# certified bracket still lies within the estimate +- 2^-SEED_BITS.
 SEED_BITS = 44
-# Margin, in bits, between a Newton candidate bracket and the error
-# estimate |p''/p'| (width/2)^2 of the step; a step that falls short
-# anyway fails its certificate and the round bisects.
-NEWTON_SLACK_BITS = 2
 # Largest k that all_roots takes: a fixed cap, not a time budget.
 MAX_ROOTS_K = 64
 # Sweeps before the float root iteration counts as stalled.
@@ -84,35 +81,23 @@ def _sign(poly: IntPoly, m: int, e: int, s: int) -> tuple[int, int]:
     return (value > 0) - (value < 0), lo
 
 
-def _brackets(poly: IntPoly, a: int, b: int, e: int) -> bool:
-    """Whether a < b and poly changes sign from below 0 at a 2^-e to above 0 at b 2^-e."""
-    s = e + GUARD_BITS
-    return a < b and _sign(poly, a, e, s)[0] < 0 < _sign(poly, b, e, s)[0]
-
-
 def bisect_root(
     poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction, guess: float | None = None
 ) -> Interval:
     """Enclosure of the root of poly in [lo, hi] to width < tol.
 
     Requires tol > 0 and dyadic ends with poly(lo) < 0 < poly(hi), checked
-    exactly (in integers for int ends), and keeps a sign change at every
-    step, so the bracket is a certified enclosure at all times.  The bracket
-    is a pair of integer mantissas at a scale 2^-e, and signs come from
-    ``_sign``.  A float ``guess`` of the root proposes the bracket
-    guess +- 2^-SEED_BITS, clipped to [lo, hi], which replaces [lo, hi]
-    only if the polynomial changes sign across it; a wrong guess costs two
-    signs and nothing else.  Each round takes a Newton step from the bracket
-    midpoint, with value, slope and curvature in truncated fixed point.
-    Newton about doubles the correct bits, so the candidate bracket is the
-    step's result +- 2^-p, with p at most twice the bits of the current
-    width, less the bits of |p''/p'|, and no more than tol needs.  Within
-    that reach p is the lowest rung of a ladder that halves from tol's bits
-    (Brent's precision schedule), so each later step reaches the next rung
-    and the last lands on tol from about half its bits, wherever the bracket
-    started.  The candidate replaces the bracket only if it is at most half
-    as wide and the polynomial changes sign across it; otherwise the round
-    bisects at the midpoint instead.
+    exactly (in integers for int ends).  Newton steps from ``guess``, or
+    from the midpoint without one, climb a ladder of precisions that
+    halves from tol's bits (Brent's schedule): at rung p the iterate and
+    its value carry p + GUARD_BITS bits and the slope half as many.  They
+    certify nothing.  They stop where an iterate leaves [lo, hi] or the
+    slope is not known positive, and an iterate whose value encloses to
+    exactly [0, 0] is returned as a point.  The one certificate is
+    [m - 1, m + 2] 2^-t about the last iterate x, m = floor(x 2^t), t three
+    bits past tol, clipped to [lo, hi]: it is returned if ``_sign`` gives
+    -1 at its low end and +1 at its high end.  Otherwise [lo, hi] is
+    bisected, with a sign at every midpoint, until narrower than tol.
     """
     lo, hi, tol = (x if type(x) is int else Fraction(x) for x in (lo, hi, tol))
     if not tol > 0:
@@ -122,48 +107,38 @@ def bisect_root(
     if any(d & (d - 1) for d in (lo.denominator, hi.denominator)):
         raise ValueError(f"need dyadic bracket ends, got [{lo}, {hi}]")
     (a, b), e = _dyadic([lo, hi])
-    if guess is not None:
-        (g,), f = _dyadic([guess])
-        q = max(e, f, SEED_BITS)
-        g, r = g << (q - f), 1 << (q - SEED_BITS)
-        a2, b2 = max(a << (q - e), g - r), min(b << (q - e), g + r)
-        if _brackets(poly, a2, b2, q):
-            a, b, e = a2, b2, q
-    slope = poly.derivative()
-    bend = slope.derivative()
     tol_bits = tol.denominator.bit_length() - tol.numerator.bit_length()
+    t = max(tol_bits + 3, SEED_BITS + 2)  # 3 2^-t < tol
+    rungs = [t + 1]
+    while rungs[-1] > SEED_BITS // 2:
+        rungs.append((rungs[-1] + 1) // 2)
+    slope = poly.derivative()
+    n, d = (Fraction(lo + hi) / 2 if guess is None else guess).as_integer_ratio()
+    s = rungs[-2] + GUARD_BITS
+    x = (n << s) // d  # the iterate x 2^-s
+    for p in rungs[-2::-1]:  # ascending, less the lowest, which a float64 guess holds
+        x, s = x << (p + GUARD_BITS - s), p + GUARD_BITS
+        if not max(a, 0) << s <= x << e <= b << s:  # _enclose needs x >= 0
+            break
+        value = poly._enclose(x, s)
+        if value == (0, 0):
+            return _interval(x, x, s)
+        derivative = slope._enclose(x >> (p - p // 2), p // 2 + GUARD_BITS)[0]
+        if derivative <= 0:
+            break
+        x -= (value[0] << (p // 2 + GUARD_BITS)) // derivative
+    q, m = max(t, e), (x << t) >> s
+    a2, b2 = max((m - 1) << (q - t), a << (q - e)), min((m + 2) << (q - t), b << (q - e))
+    w = q + GUARD_BITS
+    if a2 < b2 and _sign(poly, a2, q, w)[0] < 0 < _sign(poly, b2, q, w)[0]:
+        return _interval(a2, b2, q)
     while (b - a) * tol.denominator >= tol.numerator << e:
         a, b, e = a << 1, b << 1, e + 1
         mid = (a + b) >> 1
-        width_bits = e - (b - a).bit_length()  # log2(1/width), to within one
-        w = max(e, 2 * width_bits) + GUARD_BITS
-        sign, value = _sign(poly, mid, e, w)
+        sign = _sign(poly, mid, e, e + GUARD_BITS)[0]
         if sign == 0:
             return _interval(mid, mid, e)
-        # Slope and curvature need only about e bits; the value needs 2e.
-        x = mid << GUARD_BITS
-        derivative = slope._enclose(x, e + GUARD_BITS)[0] if mid > 0 else 0
-        if derivative != 0:
-            curvature = abs(bend._enclose(x, e + GUARD_BITS)[0])
-            curvature_bits = (-(-curvature // abs(derivative))).bit_length()
-            reach = 2 * width_bits - curvature_bits - NEWTON_SLACK_BITS
-            top, floor = tol_bits + 3, curvature_bits + NEWTON_SLACK_BITS + 4
-            p = min(reach, top)
-            if floor < reach < top:
-                # the lowest rung floor + (top - floor) / 2^j within reach
-                j = ((top - floor - 1) // (reach - floor)).bit_length()
-                p = floor - ((floor - top) >> j)
-            q = max(p, e) + 2  # the step's two roundings stay below 2^-p / 2
-            step = (mid << (q - e)) - (value << (q + e + GUARD_BITS - w)) // derivative
-            a2 = max(a << (q - e), step - (1 << (q - p)))
-            b2 = min(b << (q - e), step + (1 << (q - p)))
-            if 2 * (b2 - a2) < (b - a) << (q - e) and _brackets(poly, a2, b2, q):
-                a, b, e = a2, b2, q
-                continue
-        if sign < 0:
-            a = mid
-        else:
-            b = mid
+        a, b = (mid, b) if sign < 0 else (a, mid)
     return _interval(a, b, e)
 
 
@@ -191,8 +166,9 @@ def phi(k: int, precision_digits: int = 15) -> Interval:
 
     The bracket [1, 2] is certified (values 1-k < 0 and 1 > 0) and the
     positive root is unique by Descartes' rule of signs.  The root
-    finder starts from ``_phi_float``'s estimate where its bracket is
-    certified too, and from [1, 2] otherwise.
+    finder's Newton steps start from ``_phi_float``'s estimate; its
+    certificate, or bisection of [1, 2] where that fails, decides every
+    digit.
     """
     _check_params(k, precision_digits)
     tol = Fraction(1, 10**precision_digits)

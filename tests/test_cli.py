@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,9 +13,11 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from runwords import core, interval, numerics
-from runwords.cli import main
+from runwords.cli import _csv_field, main
 from runwords.verify import TABLE1_K2, TABLE1_K3, TABLE2_LIMITS
 
 
@@ -425,3 +429,21 @@ def test_verify_quick(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert all(check["passed"] for check in doc["checks"])
+
+
+def test_verify_quick_csv_quotes_details_with_commas(capsys):
+    # Details such as "n<=14, k in [2, 3]" hold commas: a csv reader must
+    # still see three fields per row, with the detail that json prints.
+    _, out, _ = run(capsys, "verify", "quick", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    _, out, _ = run(capsys, "verify", "quick", "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert [row["detail"] for row in rows] == [check["detail"] for check in checks]
+    assert any("," in check["detail"] for check in checks)
+    assert all(None not in row for row in rows)  # no field beyond the header
+
+
+@given(st.lists(st.text(), min_size=2, max_size=4))
+def test_csv_fields_read_back_as_written(values):
+    line = ",".join(map(_csv_field, values))
+    assert next(csv.reader(io.StringIO(line + "\n"))) == values

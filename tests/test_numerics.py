@@ -80,6 +80,20 @@ class TestBisectRoot:
         assert poly(enc.lo) < 0 < poly(enc.hi)
         assert enc.lo**9 < 2 < enc.hi**9
 
+    def test_newton_takes_no_enclosure_below_zero(self, monkeypatch):
+        # x^3 - 2 on [-4, 2] starts Newton at the midpoint -1, where the
+        # fixed-point enclosure does not hold (it needs x >= 0): the steps
+        # stop there, and bisection finds the root.
+        points = []
+        enclose = IntPoly._enclose
+        monkeypatch.setattr(
+            IntPoly, "_enclose", lambda p, x, s: points.append(x) or enclose(p, x, s)
+        )
+        poly, tol = IntPoly([-2, 0, 0, 1]), Fraction(1, 10**30)
+        enc = numerics.bisect_root(poly, -4, 2, tol)
+        assert points and min(points) >= 0
+        assert enc.width < tol and enc.lo**3 < 2 < enc.hi**3
+
     def test_refuses_a_bracket_without_sign_change(self):
         with pytest.raises(ValueError):
             numerics.bisect_root(fibonacci_poly(3), Fraction(1), Fraction(2), Fraction(1, 10))
@@ -110,7 +124,7 @@ class TestBisectRoot:
         with pytest.raises(ValueError, match="tol"):
             numerics.bisect_root(reciprocal_fibonacci_poly(3), 1, 2, tol)
 
-    @pytest.mark.parametrize("digits", [1, 15, 50, 300])
+    @pytest.mark.parametrize("digits", [1, 5, 6, 7, 15, 50, 300])
     def test_phi_takes_the_seeded_bracket(self, monkeypatch, digits):
         signs = []
         sign = numerics._sign
@@ -125,9 +139,9 @@ class TestBisectRoot:
             half = Fraction(1, 1 << numerics.SEED_BITS)
             lo, hi = max(1, guess - half), min(2, guess + half)
             enc = numerics.phi(k, digits)
-            # the seed's two signs come first and certify [lo, hi]; every
-            # later sign is taken inside it, so the loop never saw [1, 2]
-            assert signs[:2] == [(lo, -1), (hi, 1)], k
+            # the certificate's two signs are the only ones, so nothing was
+            # bisected, and it lies inside the seed's [lo, hi]
+            assert signs == [(enc.lo, -1), (enc.hi, 1)], k
             assert all(lo <= x <= hi for x, _ in signs), k
             assert lo <= enc.lo <= enc.hi <= hi
             assert enc.width < Fraction(1, 10**digits)
@@ -138,9 +152,9 @@ class TestBisectRoot:
         "k, digits", [(2, 3002), (8, 3002), (40, 3002), (40, 5002), (300, 1002)]
     )
     def test_newton_steps_climb_a_ladder_to_tol(self, monkeypatch, k, digits):
-        # Every sign before the last step's certificate is taken below about
-        # half of tol's bits: the last step lands on tol from there, however
-        # the doubling from the seed's 2^-44 lines up with tol.
+        # The Newton steps take no sign: the only two are the certificate's,
+        # at tol's bits, however the doubling from the seed's 2^-44 lines up
+        # with tol.
         scales = []
         sign = numerics._sign
         monkeypatch.setattr(
@@ -150,6 +164,7 @@ class TestBisectRoot:
         tol_bits = (10**digits).bit_length() - 1
         assert max(scales) >= tol_bits
         assert all(e <= tol_bits // 2 + 40 or e >= tol_bits for e in scales)
+        assert len(scales) == 2
 
     @pytest.mark.parametrize(
         "poly, lo, guess",
@@ -193,6 +208,30 @@ class TestBisectRoot:
         # there is [0, 0], and exact evaluation finds the zero.
         enc = numerics.bisect_root(IntPoly([-3, 2]), 1, 2, Fraction(1, 10**20))
         assert enc == Interval(Fraction(3, 2), Fraction(3, 2))
+
+    def test_a_guess_on_an_exact_root_is_returned_as_a_point(self):
+        enc = numerics.bisect_root(IntPoly([-3, 2]), 1, 2, Fraction(1, 10**20), 1.5)
+        assert enc == Interval(Fraction(3, 2), Fraction(3, 2))
+
+    def test_the_certificate_reaches_two_grid_points_above_the_iterate(self, monkeypatch):
+        # (2 - x)(2^56 x - R) rises and is concave on [1, 3/2]; its root
+        # r = 5/4 + 2^-56 lies just above 5/4 on the grid 2^-46 that
+        # tol = 10^-12 certifies on.  Newton from below a concave rise stays
+        # below r, here by about 2^-51 from a guess 2^-13 low, so the last
+        # iterate x has m = floor(x 2^46) one below 5/4 2^46: (m + 1) 2^-46
+        # is 5/4, below r, and only the certificate's reach to m + 2 holds r.
+        R = 5 * 2**54 + 1
+        poly = IntPoly([-2 * R, 2**57 + R, -(2**56)])
+        signs = []
+        sign = numerics._sign
+        monkeypatch.setattr(
+            numerics, "_sign", lambda p, m, e, s: signs.append(m) or sign(p, m, e, s)
+        )
+        tol = Fraction(1, 10**12)
+        enc = numerics.bisect_root(poly, 1, Fraction(3, 2), tol, 1.25 - 2**-13)
+        assert len(signs) == 2  # the certificate held: nothing was bisected
+        assert Fraction(R, 2**56) in enc and enc.width < tol
+        assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi)
 
     def test_exact_evaluation_decides_where_the_enclosure_cannot(self, monkeypatch):
         # (3x - 4)(x - 1)^40 near 4/3 is about 3^-40 times the distance to
