@@ -8,11 +8,15 @@ not converge, root disks that could not be certified, ``verify full``
 without mpmath, its independent referee, running out of memory, or a size
 beyond the machine's index range, as for ``phi``'s degree-k polynomial at
 k = 10^23).
+
+``main`` builds its parser once per process and dispatches by command
+name at call time: ``args.command`` selects the module's ``cmd_<command>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Callable
@@ -149,8 +153,10 @@ def cmd_alpha_series(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    decimal = render_decimal(lambda work: numerics.phi(args.k, work), args.digits)
-    inverse = render_decimal(lambda work: numerics.inverse_phi(args.k, work), args.digits)
+    """phi_k and 1/phi_k from one root per precision; 1 / root is ``inverse_phi``'s enclosure."""
+    root = functools.cache(lambda work: numerics.phi(args.k, work))
+    decimal = render_decimal(root, args.digits)
+    inverse = render_decimal(lambda work: 1 / root(work), args.digits)
     row = {"k": args.k, "phi": decimal, "inverse_phi": inverse}
     _emit(args, lambda: f"phi_{args.k} = {decimal}\n1/phi_{args.k} = {inverse}", [row], row)
     return 0
@@ -248,61 +254,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table1", help="triangle of counts by number of 1s")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, default=9, dest="n_max")
     _add_common(p)
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("limits", help="limit of the expected bit value per k")
     p.add_argument("--k-min", type=int, default=2, dest="k_min")
     p.add_argument("--k-max", type=int, default=13, dest="k_max")
     p.add_argument("--digits", type=int, default=15)
     _add_common(p)
-    p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("alpha-series", help="expected bit value for n = 1..n_max")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, default=50, dest="n_max")
     p.add_argument("--digits", type=int, default=6)
     _add_common(p)
-    p.set_defaults(func=cmd_alpha_series)
 
     p = sub.add_parser("phi", help="generalized golden ratio")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--digits", type=int, default=15)
     _add_common(p)
-    p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("roots", help="all complex roots of the k-step polynomial")
     p.add_argument("--k", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("dist", help="distribution of the number of 1s")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("popularity", help="total 1s over all avoiders")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_popularity)
 
     p = sub.add_parser("list", help="list all avoiders (n <= 16)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_list)
 
     p = sub.add_parser("verify", help="run the self-check battery")
     p.add_argument("level", choices=("quick", "full"))
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -311,15 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
 OPTION_MINIMUM = {"digits": 0, "n_max": 1}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         for dest, least in OPTION_MINIMUM.items():
             value = getattr(args, dest, least)
             if value < least:
                 raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

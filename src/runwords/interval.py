@@ -5,9 +5,9 @@ An ``Interval`` is a record of two ``fractions.Fraction`` endpoints,
 integer fixed point rounded outward and hands back intervals whose
 endpoints have about as many bits as the digits asked for; checks
 compare those endpoints exactly.  The one operation is the exact
-reciprocal ``r / x`` for a rational ``r``, which ``numerics.inverse_phi``
-uses.  This module also renders enclosures as certified decimals,
-refining them until every point rounds to the same digits.
+reciprocal ``r / x`` for a rational ``r``, used by ``numerics.inverse_phi``
+and the ``phi`` command.  This module also renders enclosures as
+certified decimals, refining them until every point rounds to the same digits.
 """
 
 from __future__ import annotations

@@ -65,20 +65,18 @@ def _work_bits(work: int) -> int:
     return math.ceil(work * math.log2(10)) + GUARD_BITS
 
 
-def _sign(poly: IntPoly, m: int, e: int, s: int) -> tuple[int, int]:
-    """Sign of poly(m 2^-e), and the truncated fixed-point value at 2^-s (s >= e).
+def _sign(poly: IntPoly, m: int, e: int, s: int) -> int:
+    """Sign of poly(m 2^-e), read at the fixed-point scale 2^-s (s >= e).
 
-    The sign comes from the enclosure ``poly._enclose`` where it excludes
-    0, and otherwise from the exact integer 2^(e d) poly(m 2^-e), d the
-    degree; the value is 0 for m <= 0, outside the enclosure's domain.
+    From the enclosure ``poly._enclose`` where m > 0 and it excludes 0,
+    otherwise from the exact integer 2^(e d) poly(m 2^-e), d the degree.
     """
-    lo = 0
     if m > 0:
         lo, hi = poly._enclose(m << (s - e), s)
         if lo > 0 or hi < 0:
-            return (1 if lo > 0 else -1), lo
+            return 1 if lo > 0 else -1
     value = _gaussian(poly, m, 0, e)[0]
-    return (value > 0) - (value < 0), lo
+    return (value > 0) - (value < 0)
 
 
 def bisect_root(
@@ -130,12 +128,12 @@ def bisect_root(
     q, m = max(t, e), (x << t) >> s
     a2, b2 = max((m - 1) << (q - t), a << (q - e)), min((m + 2) << (q - t), b << (q - e))
     w = q + GUARD_BITS
-    if a2 < b2 and _sign(poly, a2, q, w)[0] < 0 < _sign(poly, b2, q, w)[0]:
+    if a2 < b2 and _sign(poly, a2, q, w) < 0 < _sign(poly, b2, q, w):
         return _interval(a2, b2, q)
     while (b - a) * tol.denominator >= tol.numerator << e:
         a, b, e = a << 1, b << 1, e + 1
         mid = (a + b) >> 1
-        sign = _sign(poly, mid, e, e + GUARD_BITS)[0]
+        sign = _sign(poly, mid, e, e + GUARD_BITS)
         if sign == 0:
             return _interval(mid, mid, e)
         a, b = (mid, b) if sign < 0 else (a, mid)

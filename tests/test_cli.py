@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from runwords import core, interval, numerics
+from runwords import cli, core, interval, numerics
 from runwords.cli import _csv_field, main
 from runwords.verify import TABLE1_K2, TABLE1_K3, TABLE2_LIMITS
 
@@ -365,6 +365,81 @@ def test_refinement_without_a_result_is_an_internal_failure(capsys, monkeypatch)
     code, out, err = run(capsys, "phi", "--k", "2")
     assert code == 3 and out == ""
     assert err == "error: no certified result after 0 rounds of refinement\n"
+
+
+PHI_3_AT_15_DIGITS = "phi_3 = 1.839286755214161\n1/phi_3 = 0.543689012692076\n"
+
+
+def _counting_phi(monkeypatch) -> list:
+    calls = []
+    phi = numerics.phi
+    monkeypatch.setattr(numerics, "phi", lambda k, work: calls.append(work) or phi(k, work))
+    return calls
+
+
+def test_phi_finds_one_root_per_working_precision(capsys, monkeypatch):
+    calls = _counting_phi(monkeypatch)
+    code, out, _ = run(capsys, "phi", "--k", "3", "--digits", "15")
+    assert code == 0
+    assert out == PHI_3_AT_15_DIGITS
+    assert calls == [17]
+
+
+def test_refinement_without_a_result_still_fails_with_one_root_per_precision(
+    capsys, monkeypatch
+):
+    calls = _counting_phi(monkeypatch)
+    monkeypatch.setattr(interval, "MAX_ROUNDS", 0)
+    code, out, err = run(capsys, "phi", "--k", "3", "--digits", "15")
+    assert code == 3 and out == ""
+    assert err == "error: no certified result after 0 rounds of refinement\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("digits", [0, 1, 15, 50, 300])
+@pytest.mark.parametrize("k", [2, 3, 8, 40, 64, 300])
+def test_phi_output_is_that_of_phi_and_inverse_phi(capsys, k, digits):
+    decimal = interval.render_decimal(lambda work: numerics.phi(k, work), digits)
+    inverse = interval.render_decimal(lambda work: numerics.inverse_phi(k, work), digits)
+    code, out, _ = run(capsys, "phi", "--k", str(k), "--digits", str(digits))
+    assert code == 0
+    assert out == f"phi_{k} = {decimal}\n1/phi_{k} = {inverse}\n"
+
+
+def test_the_reused_parser_survives_rejected_arguments(capsys):
+    for argv in (["phi"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    code, out, _ = run(capsys, "phi", "--k", "3", "--digits", "15")
+    assert code == 0
+    assert out == PHI_3_AT_15_DIGITS
+
+
+def test_commands_are_dispatched_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "phi", "--k", "2", "--digits", "3")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_phi", lambda args: seen.append(args.k) or 0)
+    code, out, _ = run(capsys, "phi", "--k", "5", "--digits", "3")
+    assert code == 0 and out == ""
+    assert seen == [5]
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    for argv in (
+        ["count", "--k", "2", "--n", "4"],
+        ["phi", "--k", "2", "--digits", "3"],
+        ["alpha-series", "--k", "2", "--n-max", "3"],
+        ["table1", "--k", "2", "--n-max", "3"],
+        ["count", "--k", "3", "--n", "4"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert len(builds) == 1
 
 
 def test_root_iteration_failure_is_an_internal_failure(capsys, monkeypatch):
