@@ -3,8 +3,8 @@
 Every command is deterministic and supports --format plain|csv|json.
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a failed identity check of ``count``), 2 usage error, 3 internal
-failure (no certified result after refinement, a root iteration that did
-not converge, root disks that could not be certified, ``verify full``
+failure (no certified result after refinement, root estimates that are
+not conjugate pairs, root disks that could not be certified, ``verify full``
 without mpmath, its independent referee, running out of memory, or a size
 beyond the machine's index range, as for ``phi``'s degree-k polynomial at
 k = 10^23).

@@ -14,10 +14,13 @@ integer evaluation only when that enclosure contains 0.  The limit and
 the asymptotic coefficient are rational functions of phi_k, evaluated
 the same way in one pass on its enclosure at the working precision plus
 a guard, so mantissa sizes stay proportional to the digits asked for.
-The complex roots are certified too: float Durand-Kerner, one integer
-fixed-point Newton polish, then Smith's disks about the polished
-doubles, computed exactly in Gaussian integers and checked pairwise
-disjoint, so each disk holds exactly one root.  No step uses mpmath.
+The complex roots are certified too: closed-form float estimates (phi_k's
+and the fixed points of a contraction), one integer fixed-point Newton
+polish of each root on or above the real axis, evaluated exactly through
+the trinomial (x - 1) p, the rest as their conjugates, then Smith's disks
+about the polished doubles, computed exactly in Gaussian integers and
+checked pairwise disjoint, so each disk holds exactly one root.  No step
+uses mpmath.
 """
 
 from __future__ import annotations
@@ -40,18 +43,15 @@ GUARD_BITS = 64
 SEED_BITS = 44
 # Largest k that all_roots takes: a fixed cap, not a time budget.
 MAX_ROOTS_K = 64
-# Sweeps before the float root iteration counts as stalled.
-MAX_ITERATIONS = 1000
-# A float step below this, relative to max(1, |z|), leaves the iteration
-# at double precision (it converges quadratically); an imaginary part
-# below it is rounding noise on a real root.
+# An imaginary part below this on a float root estimate is rounding
+# noise on a real root: the polish starts such an estimate on the axis.
 SETTLED = 2.0**-26
 # Bits after the binary point of the polishing Newton step.
 POLISH_BITS = 128
 
 
 class RootFindingError(RuntimeError):
-    """Raised when the complex root iteration stalls or its disks are not certified."""
+    """Raised when the root estimates are not conjugate pairs or their disks are not certified."""
 
 
 def _check_params(k: int, precision_digits: int) -> None:
@@ -305,38 +305,79 @@ def _dyadic(values: list) -> tuple[list[int], int]:
     return [n << (s - d.bit_length() + 1) for n, d in ratios], s
 
 
-def _iterate(poly: IntPoly, k: int) -> list[complex]:
-    """Durand-Kerner in float64 from k points on |z| = 1.5, rotated off the axes."""
-    z = [1.5 * cmath.exp(1j * math.pi * (2 * j + 0.5) / k) for j in range(k)]
-    for _ in range(MAX_ITERATIONS):
-        settled = True
-        for j in range(k):
-            w = z[j]
-            denom = 1 + 0j
-            for i in range(k):
-                if i != j:
-                    denom *= w - z[i]
-            step = poly(w) / denom
-            z[j] = w - step
-            if not abs(step) <= SETTLED * max(1.0, abs(w)):  # NaN never settles
-                settled = False
-        if settled:
-            return z
-    raise RootFindingError(f"root iteration for k={k} stalled after {MAX_ITERATIONS} sweeps")
+def _estimates(k: int) -> list[complex]:
+    """Float64 estimates of phi_k and of the roots in the unit disk up to
+    conjugation: for j = 1..k//2 the fixed point z_j of the map
+    z -> w_j (2 - z)^(-1/k), w_j = exp(2 pi i j / k), principal power.
+
+    A root z != 1 of (x - 1) p = x^(k+1) - 2x^k + 1 has z^k (2 - z) = 1.
+    On |z| <= 1, |2 - z| >= 1, so the map takes the disk into itself with
+    slope |2 - z|^(-1/k - 1) / k <= 1/k <= 1/2: a contraction, with one
+    fixed point, a root as z_j^k (2 - z_j) = w_j^k = 1 and z_j != 1.
+    Distinct j give distinct roots, as w_j = z_j (2 - z_j)^(1/k), so
+    j = 1..k-1 and phi_k > 1 give all k, and j > k/2 the conjugates of
+    j < k/2, as the map commutes with conjugation.  The distance to z_j is
+    at most 2 from w_j and at least halves at each step, so 64 steps pass
+    double precision; the loop stops at the first step that does not shrink.
+    """
+    estimates = [complex(_phi_float(k))]
+    for j in range(1, k // 2 + 1):
+        z = w = cmath.rect(1.0, 2 * math.pi * j / k)
+        last = math.inf
+        for _ in range(64):
+            y = w * (2 - z) ** (-1 / k)
+            step = abs(y - z)
+            if not step < last:
+                break
+            z, last = y, step
+        estimates.append(z)
+    return estimates
 
 
-def _polish(poly: IntPoly, slope: IntPoly, z: complex) -> complex:
-    """One Newton step from z, rounded to the nearest double.
+def _gaussian_power(x: int, y: int, n: int) -> tuple[int, int]:
+    """Real and imaginary parts of (x + iy)^n, by square-and-multiply."""
+    re, im = 1, 0
+    for digit in bin(n)[2:]:
+        re, im = (re + im) * (re - im), 2 * re * im
+        if digit == "1":
+            re, im = re * x - im * y, re * y + im * x
+    return re, im
 
-    The value and slope at the double z are exact Gaussian integers and
-    the quotient is truncated at 2^-POLISH_BITS, so the step lands far
-    closer to the root than a double can resolve.  A root that the
-    float iteration left within SETTLED of the real axis starts on it,
-    and the real polynomial keeps it there.
+
+def _trinomial(k: int, x: int, y: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """2^(s k) p(z) and 2^(s (k-1)) p'(z) at z = (x + iy) 2^-s != 1, exactly:
+    the Gaussian integers P and P' that ``_gaussian`` gives for p and p'.
+
+    They come from T = x^(k+1) - 2x^k + 1 = (x - 1) p in O(log k) products:
+    with Z = x + iy and u = 2^s, N = 2^(s(k+1)) T(z) = Z^(k+1) - 2u Z^k +
+    u^(k+1) and D = 2^(sk) T'(z) = (k+1) Z^k - 2k u Z^(k-1), and N = (Z - u) P
+    and D = P + (Z - u) P' divide exactly.  z = 1 is never reached: it is
+    no root (p(1) = 1 - k), nor a root estimate or polished root.
+    """
+    u = 1 << s
+    ar, ai = _gaussian_power(x, y, k - 1)
+    br, bi = ar * x - ai * y, ar * y + ai * x  # Z^k
+    nr = br * x - bi * y - (br << s + 1) + (1 << s * (k + 1))
+    ni = br * y + bi * x - (bi << s + 1)
+    dr, di = (k + 1) * br - 2 * k * (ar << s), (k + 1) * bi - 2 * k * (ai << s)
+    c = x - u
+    norm = c * c + y * y
+    pr, pi = (nr * c + ni * y) // norm, (ni * c - nr * y) // norm
+    er, ei = dr - pr, di - pi
+    return (pr, pi), ((er * c + ei * y) // norm, (ei * c - er * y) // norm)
+
+
+def _polish(k: int, z: complex) -> complex:
+    """One Newton step on p from z, rounded to the nearest double.
+
+    The value and slope at the double z are exact Gaussian integers
+    (``_trinomial``) and the quotient is truncated at 2^-POLISH_BITS, so
+    the step lands far closer to the root than a double can resolve.  An
+    estimate within SETTLED of the real axis starts on it, and the real
+    polynomial keeps it there.
     """
     (x, y), s = _dyadic([z.real, z.imag if abs(z.imag) > SETTLED else 0.0])
-    pr, pi = _gaussian(poly, x, y, s)
-    dr, di = _gaussian(slope, x, y, s)
+    (pr, pi), (dr, di) = _trinomial(k, x, y, s)
     # p / p' = (pr + i pi) / ((dr + i di) 2^s), at the scale 2^-f
     f = max(s, POLISH_BITS)
     norm = (dr * dr + di * di) << s
@@ -356,29 +397,26 @@ def _round_up(num: int, den: int) -> float:
     return radius if n << t >= root * d else math.nextafter(radius, math.inf)
 
 
-def _smith_radii(poly: IntPoly, roots: list[complex]) -> list[float]:
-    """Smith's radii k |p(z_j) / prod_{i != j} (z_j - z_i)|, rounded up to doubles.
+def _smith_radii(roots: list[complex], count: int) -> list[float]:
+    """Smith's radii k |p(z_j) / prod_{i != j} (z_j - z_i)|, rounded up to
+    doubles, for the first ``count`` of the k roots.
 
     For monic p of degree k, the disks about the z_j with these radii
     cover every root, and a connected union of m of them holds exactly
     m roots (B. T. Smith, J. ACM 17, 1970).  The roots are doubles, so
-    each quotient is computed exactly in Gaussian integers at one scale.
+    each quotient is computed exactly in Gaussian integers at one scale,
+    the product's squared modulus as the product of the factors' ones.
     """
     k = len(roots)
     parts, s = _dyadic([z.real for z in roots] + [z.imag for z in roots])
     points = list(zip(parts[:k], parts[k:]))
     radii = []
-    for j, (x, y) in enumerate(points):
-        pr, pi = _gaussian(poly, x, y, s)
-        dr, di = 1, 0
-        for i, (u, v) in enumerate(points):
-            if i != j:
-                a, b = x - u, y - v
-                dr, di = dr * a - di * b, dr * b + di * a
-        norm = dr * dr + di * di
+    for j, (x, y) in enumerate(points[:count]):
+        (pr, pi), _ = _trinomial(k, x, y, s)
+        norm = math.prod((x - u) ** 2 + (y - v) ** 2 for i, (u, v) in enumerate(points) if i != j)
         if norm == 0:
             raise RootFindingError(f"root disks for k={k} not certified: two centres coincide")
-        # r^2 = k^2 |p|^2 / |prod|^2 = k^2 (pr^2 + pi^2) / ((dr^2 + di^2) 2^(2s))
+        # r^2 = k^2 |p|^2 / |prod|^2 = k^2 (pr^2 + pi^2) / (norm 2^(2s))
         radii.append(_round_up(k * k * (pr * pr + pi * pi), norm << 2 * s))
     return radii
 
@@ -398,20 +436,26 @@ def _check_disjoint(roots: list[complex], radii: list[float]) -> None:
 def all_roots(k: int) -> ComplexRootSet:
     """All complex roots of x^k - x^(k-1) - ... - x - 1, in certified disks.
 
-    Durand-Kerner in float64 from a rotated circle (deterministic), one
-    Newton polish per root (``_polish``), then Smith's disks about the
-    polished doubles (``_smith_radii``), checked pairwise disjoint
-    exactly, so each disk holds exactly one root.  A disk centred on the
-    real axis is its own mirror image, and the polynomial is real, so
-    its root is real: its imaginary part is exactly 0.  Raises
-    RootFindingError if the iteration stalls or a certificate fails.
+    Closed-form float estimates of phi_k and of the roots up to their
+    conjugates (``_estimates``), one Newton polish of each (``_polish``),
+    and the conjugates of the polished roots off the real axis; then
+    Smith's disks about these doubles (``_smith_radii``), checked
+    pairwise disjoint exactly, so each disk holds exactly one root.  The
+    polynomial is real and the centres are closed under conjugation, so
+    a conjugate's radius is its mirror's, and a disk centred on the real
+    axis holds a real root: its imaginary part is exactly 0.  Raises
+    RootFindingError if a polished estimate lies below the axis, the
+    estimates and their conjugates are not k, or a certificate fails.
     """
     if not isinstance(k, int) or not 2 <= k <= MAX_ROOTS_K:
         raise ValueError(f"need 2 <= k <= {MAX_ROOTS_K}, got {k!r}")
-    poly = reciprocal_fibonacci_poly(k)
-    slope = poly.derivative()
-    z = [_polish(poly, slope, w) for w in _iterate(poly, k)]
-    radii = _smith_radii(poly, z)
+    z = [_polish(k, w) for w in _estimates(k)]
+    mirrored = [j for j, w in enumerate(z) if w.imag > 0]
+    if any(w.imag < 0 for w in z) or len(z) + len(mirrored) != k:
+        raise RootFindingError(f"root estimates for k={k} are not conjugate pairs")
+    z += [z[j].conjugate() for j in mirrored]
+    radii = _smith_radii(z, k - len(mirrored))
+    radii += [radii[j] for j in mirrored]
     _check_disjoint(z, radii)
     order = sorted(range(k), key=lambda j: (z[j].real, z[j].imag))
     return ComplexRootSet(

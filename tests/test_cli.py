@@ -444,12 +444,12 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
 
 def test_root_iteration_failure_is_an_internal_failure(capsys, monkeypatch):
     def all_roots(k):
-        raise numerics.RootFindingError(f"root iteration for k={k} stalled")
+        raise numerics.RootFindingError(f"root estimates for k={k} are not conjugate pairs")
 
     monkeypatch.setattr(numerics, "all_roots", all_roots)
     code, out, err = run(capsys, "roots", "--k", "5")
     assert code == 3 and out == ""
-    assert err == "error: root iteration for k=5 stalled\n"
+    assert err == "error: root estimates for k=5 are not conjugate pairs\n"
 
 
 def test_running_out_of_memory_is_a_one_line_internal_failure(capsys, monkeypatch):

@@ -1,11 +1,13 @@
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from runwords import core, numerics
@@ -505,10 +507,62 @@ class TestAllRoots:
             numerics._check_disjoint([0j, 1 + 0j], [0.5, 0.5])
         numerics._check_disjoint([0j, 1 + 0j], [0.5, math.nextafter(0.5, 0)])
 
-    def test_stalled_iteration_raises(self, monkeypatch):
-        monkeypatch.setattr(numerics, "MAX_ITERATIONS", 1)
-        with pytest.raises(numerics.RootFindingError, match="stalled"):
+    def test_estimates_off_the_roots_are_refused(self, monkeypatch):
+        # a circle rotated off the axes is not closed under conjugation
+        rotated = [1.5 * cmath.exp(1j * math.pi * (2 * j + 0.5) / 5) for j in range(5)]
+        monkeypatch.setattr(numerics, "_estimates", lambda k: rotated)
+        with pytest.raises(numerics.RootFindingError, match="not conjugate pairs"):
             numerics.all_roots(5)
+        # the upper half of a circle that is: the disks certify nothing
+        circle = [1.5 * cmath.exp(2j * math.pi * j / 5) for j in range(3)]
+        monkeypatch.setattr(numerics, "_estimates", lambda k: circle)
+        with pytest.raises(numerics.RootFindingError, match="overlap"):
+            numerics.all_roots(5)
+
+    def test_every_k_certifies_to_a_few_ulps(self):
+        for k in range(2, numerics.MAX_ROOTS_K + 1):
+            assert max(numerics.all_roots(k).error_radii) < 1e-13
+
+    def test_dominant_root_is_the_double_nearest_phi(self):
+        # float of a Fraction rounds correctly; at k = 53, phi_k lies 6.5e-31
+        # below the midpoint 2 - 2^-53, so its double is 1.9999999999999998
+        for k in range(2, numerics.MAX_ROOTS_K + 1):
+            enclosure = numerics.phi(k, 40)
+            nearest = float(enclosure.lo)
+            assert float(enclosure.hi) == nearest
+            assert max(numerics.all_roots(k).roots, key=abs) == complex(nearest, 0)
+
+    def test_the_estimate_loop_stops_before_its_cap(self, monkeypatch):
+        steps = []
+
+        class Start(complex):
+            """w_j, by which each step of the loop multiplies once."""
+
+            def __mul__(self, other):
+                steps[-1] += 1
+                return complex(self) * other
+
+        def rect(r, angle):
+            steps.append(0)
+            return Start(cmath.rect(r, angle))
+
+        monkeypatch.setattr(numerics, "cmath", SimpleNamespace(rect=rect))
+        for k in range(2, numerics.MAX_ROOTS_K + 1):
+            steps.clear()
+            numerics._estimates(k)
+            assert len(steps) == k // 2 and max(steps) < 64
+
+    @given(
+        st.integers(min_value=2, max_value=numerics.MAX_ROOTS_K),
+        st.integers(min_value=-(2**62), max_value=2**62),
+        st.integers(min_value=-(2**62), max_value=2**62),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_trinomial_gives_the_horner_value_and_slope(self, k, x, y, s):
+        assume((x, y) != (1 << s, 0))  # z = 1
+        poly = reciprocal_fibonacci_poly(k)
+        expected = numerics._gaussian(poly, x, y, s), numerics._gaussian(poly.derivative(), x, y, s)
+        assert numerics._trinomial(k, x, y, s) == expected
 
     def test_dominant_root_matches_bisection(self):
         for k in range(2, 11):
@@ -548,11 +602,6 @@ def _exact(value) -> Fraction:
     return (-1) ** sign * int(mantissa) * Fraction(2) ** exponent
 
 
-def _columns(z: complex, real: bool) -> tuple[str, str, str]:
-    """re, im (or "real") and modulus as `roots` formats them."""
-    return f"{z.real:.15g}", "real" if real else f"{z.imag:.15g}", f"{abs(z):.15g}"
-
-
 class TestRootReferee:
     """The certified roots against mpmath.polyroots, used only as a referee."""
 
@@ -567,14 +616,14 @@ class TestRootReferee:
             inside = [(x - u) ** 2 + (y - v) ** 2 <= r * r for u, v, r in disks]
             assert inside.count(True) == 1
 
-    @pytest.mark.parametrize("k", range(2, 33))
+    @pytest.mark.parametrize("k", [*range(2, 33), 48, 53, 64])
     def test_printed_columns_are_mpmaths_rounded_doubles(self, k):
-        # mpmath's roots rounded to the nearest doubles (float of a Fraction
-        # rounds correctly), then formatted as `roots` formats its own
-        ours = sorted(_columns(z, z.imag == 0) for z in numerics.all_roots(k).roots)
+        # the roots are mpmath's rounded to the nearest doubles (float of a
+        # Fraction rounds correctly), so `roots` prints mpmath's columns
+        ours = sorted((z.real, z.imag) for z in numerics.all_roots(k).roots)
         theirs = sorted(
             # a root is real when mpmath's imaginary part is below its accuracy
-            _columns(complex(float(x), float(y)), abs(y) < Fraction(1, 10**40))
+            (float(x), 0.0 if abs(y) < Fraction(1, 10**40) else float(y))
             for x, y in _mpmath_roots(k)
         )
         assert ours == theirs
