@@ -17,10 +17,11 @@ a guard, so mantissa sizes stay proportional to the digits asked for.
 The complex roots are certified too: closed-form float estimates (phi_k's
 and the fixed points of a contraction), one integer fixed-point Newton
 polish of each root on or above the real axis, evaluated exactly through
-the trinomial (x - 1) p, the rest as their conjugates, then Smith's disks
-about the polished doubles, computed exactly in Gaussian integers and
-checked pairwise disjoint, so each disk holds exactly one root.  No step
-uses mpmath.
+the trinomial (x - 1) p, the rest as their conjugates, then a Newton
+inclusion disk of radius k |p/p'| about each polished double, computed
+exactly in Gaussian integers; the k disks each hold a root and are
+checked pairwise disjoint, so each holds exactly one.  No step uses
+mpmath.
 """
 
 from __future__ import annotations
@@ -280,8 +281,9 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
 class ComplexRootSet:
     """The k roots of x^k - h_k, each the centre of a certified disk.
 
-    ``error_radii[j]`` is a Smith radius rounded up to a double: the
-    disks are pairwise disjoint, so each holds exactly one root.
+    ``error_radii[j]`` is a Newton inclusion radius k |p/p'| rounded up
+    to a double: each disk holds a root and the disks are pairwise
+    disjoint, so each holds exactly one.
     """
 
     k: int
@@ -397,28 +399,20 @@ def _round_up(num: int, den: int) -> float:
     return radius if n << t >= root * d else math.nextafter(radius, math.inf)
 
 
-def _smith_radii(roots: list[complex], count: int) -> list[float]:
-    """Smith's radii k |p(z_j) / prod_{i != j} (z_j - z_i)|, rounded up to
-    doubles, for the first ``count`` of the k roots.
+def _radius(k: int, z: complex) -> float:
+    """k |p(z) / p'(z)|, rounded up to a double: some root lies within it.
 
-    For monic p of degree k, the disks about the z_j with these radii
-    cover every root, and a connected union of m of them holds exactly
-    m roots (B. T. Smith, J. ACM 17, 1970).  The roots are doubles, so
-    each quotient is computed exactly in Gaussian integers at one scale,
-    the product's squared modulus as the product of the factors' ones.
+    As p'/p = sum 1/(z - z_i) over the k roots, if each were farther than
+    R from z then |p'/p| < k/R.  z is a double, so the quotient is exact
+    in Gaussian integers (``_trinomial``) at z's own scale.
     """
-    k = len(roots)
-    parts, s = _dyadic([z.real for z in roots] + [z.imag for z in roots])
-    points = list(zip(parts[:k], parts[k:]))
-    radii = []
-    for j, (x, y) in enumerate(points[:count]):
-        (pr, pi), _ = _trinomial(k, x, y, s)
-        norm = math.prod((x - u) ** 2 + (y - v) ** 2 for i, (u, v) in enumerate(points) if i != j)
-        if norm == 0:
-            raise RootFindingError(f"root disks for k={k} not certified: two centres coincide")
-        # r^2 = k^2 |p|^2 / |prod|^2 = k^2 (pr^2 + pi^2) / (norm 2^(2s))
-        radii.append(_round_up(k * k * (pr * pr + pi * pi), norm << 2 * s))
-    return radii
+    (x, y), s = _dyadic([z.real, z.imag])
+    (pr, pi), (dr, di) = _trinomial(k, x, y, s)
+    norm = dr * dr + di * di
+    if norm == 0:
+        raise RootFindingError(f"root disks for k={k} not certified: p' vanishes at {z}")
+    # r^2 = k^2 |p|^2 / |p'|^2 = k^2 (pr^2 + pi^2) / (norm 2^(2s))
+    return _round_up(k * k * (pr * pr + pi * pi), norm << 2 * s)
 
 
 def _check_disjoint(roots: list[complex], radii: list[float]) -> None:
@@ -439,13 +433,13 @@ def all_roots(k: int) -> ComplexRootSet:
     Closed-form float estimates of phi_k and of the roots up to their
     conjugates (``_estimates``), one Newton polish of each (``_polish``),
     and the conjugates of the polished roots off the real axis; then
-    Smith's disks about these doubles (``_smith_radii``), checked
-    pairwise disjoint exactly, so each disk holds exactly one root.  The
-    polynomial is real and the centres are closed under conjugation, so
-    a conjugate's radius is its mirror's, and a disk centred on the real
-    axis holds a real root: its imaginary part is exactly 0.  Raises
-    RootFindingError if a polished estimate lies below the axis, the
-    estimates and their conjugates are not k, or a certificate fails.
+    Newton inclusion disks about these doubles (``_radius``), each
+    holding a root, checked pairwise disjoint exactly, so each holds
+    exactly one.  The polynomial is real, so a conjugate's radius is its
+    mirror's, and a disk centred on the real axis holds a real root: its
+    imaginary part is exactly 0.  Raises RootFindingError if a polished
+    estimate lies below the axis, the estimates and their conjugates are
+    not k, or a certificate fails.
     """
     if not isinstance(k, int) or not 2 <= k <= MAX_ROOTS_K:
         raise ValueError(f"need 2 <= k <= {MAX_ROOTS_K}, got {k!r}")
@@ -453,8 +447,8 @@ def all_roots(k: int) -> ComplexRootSet:
     mirrored = [j for j, w in enumerate(z) if w.imag > 0]
     if any(w.imag < 0 for w in z) or len(z) + len(mirrored) != k:
         raise RootFindingError(f"root estimates for k={k} are not conjugate pairs")
+    radii = [_radius(k, w) for w in z]
     z += [z[j].conjugate() for j in mirrored]
-    radii = _smith_radii(z, k - len(mirrored))
     radii += [radii[j] for j in mirrored]
     _check_disjoint(z, radii)
     order = sorted(range(k), key=lambda j: (z[j].real, z[j].imag))

@@ -168,9 +168,9 @@ def _inside_annulus(x: Fraction, y: Fraction, r: Fraction, k: int) -> bool:
 
 
 def check_root_structure() -> CheckResult:
-    """Smith disks of the roots, exactly: pairwise disjoint, so each holds
-    one root; the largest meets the certified phi_k enclosure, and every
-    other one lies in the annulus 3^(-1/k) < |z| < 1."""
+    """Newton inclusion disks of the roots, exactly: pairwise disjoint, so
+    each holds one root; the largest meets the certified phi_k enclosure,
+    and every other one lies in the annulus 3^(-1/k) < |z| < 1."""
     k_max = 10
     for k in range(2, k_max + 1):
         roots = numerics.all_roots(k)

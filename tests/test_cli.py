@@ -181,6 +181,33 @@ def test_dist_and_table1_output_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, trailing newline included, as printed at commit
+# 054568e, where each disk's radius was Smith's.
+@pytest.mark.parametrize(
+    "k, fmt, digest",
+    [
+        ("3", "plain", "662e11fddb532092db90bd20a03de9ba17b1a4574387439e467b94b4ecb962ed"),
+        ("3", "csv", "bc58086db7933ee6b80126a8c4aab8c174da48ed7ecef5a6037fa25bbebf0f43"),
+        ("3", "json", "a83cc5f7c23cc870d48fdd46812718a5cd8e5cacd64135e6bfb55a1ea1d26c34"),
+        ("24", "plain", "d90e968bed4cebabd42d92f4ece44b7334c24e79069280129e0a09e1420ffd06"),
+        ("24", "csv", "3fd41206b2762640a00893b755650e98b823b2abe2f04b916427b9921933825c"),
+        ("24", "json", "5862aab429c0e0a41bfa91c0971cd902aabe2018db2e5fd4bf2e2a4cfd468999"),
+        ("53", "plain", "36de85dc88e355a8682a9ed4f0f7339c3812a4b6fd81ed06bc76148b586e414f"),
+        ("53", "csv", "d73f4cd7635254f5fd26a2e664a005159a758d5c6796664544d800a2fc881dfa"),
+        ("53", "json", "380c56ceb2a07833a7cc7c7448572ad65abe3760e55b2a9c491d88570d74997e"),
+        ("64", "plain", "0d385dce499abda05c9d675899be6de76768cb32f74afebd61b81155d747bbef"),
+        ("64", "csv", "21a7e741011df32b39baacbf63e0208e4fcb5a9c1f410580a77d8b1507176035"),
+        ("64", "json", "a5f19e516887e23297d55aaf71bfff217c3120895673dd4eb4b2d0bebf629f05"),
+    ],
+    ids=["k3-plain", "k3-csv", "k3-json", "k24-plain", "k24-csv", "k24-json",
+         "k53-plain", "k53-csv", "k53-json", "k64-plain", "k64-csv", "k64-json"],
+)
+def test_roots_output_is_byte_identical(capsys, k, fmt, digest):
+    code, out, _ = run(capsys, "roots", "--k", k, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_phi(capsys):
     code, out, _ = run(capsys, "phi", "--k", "2", "--digits", "15")
     assert "1.618033988749895" in out

@@ -476,24 +476,39 @@ class TestAllRoots:
                 ) ** 2
                 assert distance > (Fraction(roots.error_radii[j]) + Fraction(roots.error_radii[i])) ** 2
 
-    def test_radii_are_smith_radii_rounded_up(self):
-        # Smith's radius k |p(z_j) / prod_{i != j} (z_j - z_i)|, squared, in
-        # Gaussian rationals written out here: each radius is at least it,
-        # and above it by no more than the last bits of a double.
-        for k in (3, 8, 17):
+    def test_radii_are_newton_radii_rounded_up(self):
+        # the radius k |p(z) / p'(z)|, squared, in Gaussian rationals written
+        # out here: each radius is at least it, and above it by no more
+        # than the last bits of a double.
+        for k in (3, 8, 17, 53, 64):
             roots = numerics.all_roots(k)
-            points = [(Fraction(z.real), Fraction(z.imag)) for z in roots.roots]
-            for j, (x, y) in enumerate(points):
-                value = (Fraction(0), Fraction(0))
-                for c in reversed(reciprocal_fibonacci_poly(k).coeffs):
-                    value = (value[0] * x - value[1] * y + c, value[0] * y + value[1] * x)
-                product = (Fraction(1), Fraction(0))
-                for u, v in points[:j] + points[j + 1:]:
-                    a, b = x - u, y - v
-                    product = (product[0] * a - product[1] * b, product[0] * b + product[1] * a)
-                exact = k * k * (value[0] ** 2 + value[1] ** 2) / (product[0] ** 2 + product[1] ** 2)
-                radius = Fraction(roots.error_radii[j]) ** 2
+            poly = reciprocal_fibonacci_poly(k)
+            for z, r in zip(roots.roots, roots.error_radii):
+                x, y = Fraction(z.real), Fraction(z.imag)
+                (vr, vi), (sr, si) = (_horner(q, x, y) for q in (poly, poly.derivative()))
+                exact = k * k * (vr * vr + vi * vi) / (sr * sr + si * si)
+                radius = Fraction(r) ** 2
                 assert exact <= radius <= exact * (1 + Fraction(1, 2**50))
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.floats(min_value=-3, max_value=3),
+        st.floats(min_value=-3, max_value=3),
+    )
+    def test_some_root_lies_within_the_radius(self, k, x, y):
+        z = complex(x, y)
+        # _trinomial excludes z = 1, and p_2'(1/2) = 0 is the one other
+        # dyadic zero of p' for k <= 12
+        assume(abs(z) <= 3 and z != 1 and (k, z) != (2, 0.5))
+        r = Fraction(numerics._radius(k, z)) ** 2
+        x, y = Fraction(x), Fraction(y)
+        assert any((u - x) ** 2 + (v - y) ** 2 <= r for u, v in _mpmath_roots(k))
+
+    def test_a_vanishing_slope_is_refused(self):
+        # p_2' = 2x - 1 vanishes at the double 0.5
+        with pytest.raises(numerics.RootFindingError, match="vanishes"):
+            numerics._radius(2, 0.5)
 
     def test_real_roots_lie_on_the_axis(self):
         # phi_k, and for even k one negative root (Descartes' rule of signs)
@@ -506,6 +521,10 @@ class TestAllRoots:
         with pytest.raises(numerics.RootFindingError, match="overlap"):
             numerics._check_disjoint([0j, 1 + 0j], [0.5, 0.5])
         numerics._check_disjoint([0j, 1 + 0j], [0.5, math.nextafter(0.5, 0)])
+        # equal centres touch even at radius 0
+        for radius in (0.0, 2.0**-60):
+            with pytest.raises(numerics.RootFindingError, match="overlap"):
+                numerics._check_disjoint([0.5 + 0.5j, 0.5 + 0.5j], [radius, radius])
 
     def test_estimates_off_the_roots_are_refused(self, monkeypatch):
         # a circle rotated off the axes is not closed under conjugation
@@ -589,6 +608,14 @@ class TestAllRoots:
             numerics.all_roots(1)
 
 
+def _horner(poly: IntPoly, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
+    """Real and imaginary parts of poly(x + iy), in rationals."""
+    re = im = Fraction(0)
+    for c in reversed(poly.coeffs):
+        re, im = re * x - im * y + c, re * y + im * x
+    return re, im
+
+
 @lru_cache(maxsize=None)
 def _mpmath_roots(k: int) -> tuple[tuple[Fraction, Fraction], ...]:
     """The roots from mpmath.polyroots at 50 digits, as exact rationals."""
@@ -629,16 +656,34 @@ class TestRootReferee:
         assert ours == theirs
 
 
+def _remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """a mod b over Q, coefficient lists lowest first, b's last nonzero."""
+    a = list(a)
+    while len(a) >= len(b):
+        q, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _gcd_degree(p: IntPoly, q: IntPoly) -> int:
+    """Degree of gcd(p, q) over Q, by Euclid's remainder sequence."""
+    a, b = list(map(Fraction, p.coeffs)), list(map(Fraction, q.coeffs))
+    while b:
+        a, b = b, _remainder(a, b)
+    return len(a) - 1
+
+
 class TestCoprimalitySpotCheck:
     def test_numerators_share_no_root_with_denominator(self):
-        # operationalizes relative primality: the root sets stay apart
+        # relative primality, exactly: gcd(num, g_k^2) is a constant
         from runwords.poly import pk_fraction, tk_fraction
 
         for k in range(2, 13):
-            g_roots = [1 / z for z in numerics.all_roots(k).roots]  # roots of g_k
-            for num in (pk_fraction(k)[0], tk_fraction(k)[0]):
-                for root in g_roots:
-                    assert abs(num(root)) > 1e-6
+            for num, den in (pk_fraction(k), tk_fraction(k)):
+                assert _gcd_degree(num, den) == 0
 
 
 class TestEnclosureSoundness:
