@@ -6,8 +6,8 @@ or a failed identity check of ``count``), 2 usage error, 3 internal
 failure (no certified result after refinement, root estimates that are
 not conjugate pairs, root disks that could not be certified, ``verify full``
 without mpmath, its independent referee, running out of memory, or a size
-beyond the machine's index range, as for ``phi``'s degree-k polynomial at
-k = 10^23).
+beyond the machine's index range, as for ``dist``'s list of n - n // k + 1
+counts at k = n = 10^20).
 
 ``main`` builds its parser once per process and dispatches by command
 name at call time: ``args.command`` selects the module's ``cmd_<command>``.
@@ -39,7 +39,7 @@ def _csv_field(value) -> str:
     return text
 
 
-def _emit(args, plain: Callable[[], str], rows: list[dict], json_doc=None) -> None:
+def _emit(args, plain: Callable[[], str], rows: list[dict], json_doc) -> None:
     """Render one result in the selected format, to stdout or --out.
 
     ``plain()`` builds the plain text; it is called only when that format
@@ -53,14 +53,13 @@ def _emit(args, plain: Callable[[], str], rows: list[dict], json_doc=None) -> No
         lines += [",".join(_csv_field(row[h]) for h in header) for row in rows]
         text = "\n".join(lines)
     else:
-        text = json.dumps(json_doc if json_doc is not None else rows, indent=2)
-    out = getattr(args, "out", None)
-    if out:
+        text = json.dumps(json_doc, indent=2)
+    if args.out:
         try:
-            with open(out, "w") as handle:
+            with open(args.out, "w") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -125,8 +124,9 @@ def cmd_alpha_series(args) -> int:
     limit_decimal = render_decimal(
         lambda work: numerics.limit_value(args.k, work), args.digits
     )
-    ones = series.expand(*poly.pk_fraction(args.k), args.n_max)
-    words = series.expand(*poly.words_fraction(args.k), args.n_max)
+    k = min(args.k, args.n_max + 2)  # the same words of length <= n_max, as in core._run_length
+    ones = series.expand(*poly.pk_fraction(k), args.n_max)
+    words = series.expand(*poly.words_fraction(k), args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):
         a = Fraction(ones[n], n * words[n])  # n bits in each word
@@ -237,10 +237,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(parser, *, out=True) -> None:
+def _add_common(parser) -> None:
     parser.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    if out:
-        parser.add_argument("--out", help="write output to this file instead of stdout")
+    parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:

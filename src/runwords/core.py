@@ -43,15 +43,6 @@ class OnesDistribution:
     k: int
     counts: tuple[int, ...]
 
-    def __getitem__(self, m: int) -> int:
-        if 0 <= m < len(self.counts):
-            return self.counts[m]
-        return 0
-
-    @property
-    def total_ones(self) -> int:
-        return sum(m * c for m, c in enumerate(self.counts))
-
 
 def _run_length(n: int, k: int) -> int:
     """Check n and k; return min(k, n + 2), which counts the same length-n words as k.

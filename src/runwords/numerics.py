@@ -9,8 +9,8 @@ it; otherwise bisection of the given bracket takes over.  The float only
 saves work and never decides a digit, and every enclosure is certified
 by a sign change.  Values are integer mantissas at a scale 2^-s: a sign
 is read from the outward-rounded fixed-point Horner enclosure
-(``IntPoly._enclose``) a guard above the bracket's scale, and from exact
-integer evaluation only when that enclosure contains 0.  The limit and
+(``IntPoly._enclose``) a guard above the bracket's scale, and from the
+exact value, ``IntPoly.__call__``, only when it contains 0.  The limit and
 the asymptotic coefficient are rational functions of phi_k, evaluated
 the same way in one pass on its enclosure at the working precision plus
 a guard, so mantissa sizes stay proportional to the digits asked for.
@@ -70,13 +70,13 @@ def _sign(poly: IntPoly, m: int, e: int, s: int) -> int:
     """Sign of poly(m 2^-e), read at the fixed-point scale 2^-s (s >= e).
 
     From the enclosure ``poly._enclose`` where m > 0 and it excludes 0,
-    otherwise from the exact integer 2^(e d) poly(m 2^-e), d the degree.
+    otherwise from the exact value poly(m 2^-e), in Fractions.
     """
     if m > 0:
         lo, hi = poly._enclose(m << (s - e), s)
         if lo > 0 or hi < 0:
             return 1 if lo > 0 else -1
-    value = _gaussian(poly, m, 0, e)[0]
+    value = poly(Fraction(m, 1 << e))
     return (value > 0) - (value < 0)
 
 
@@ -167,10 +167,16 @@ def phi(k: int, precision_digits: int = 15) -> Interval:
     positive root is unique by Descartes' rule of signs.  The root
     finder's Newton steps start from ``_phi_float``'s estimate; its
     certificate, or bisection of [1, 2] where that fails, decides every
-    digit.
+    digit.  Where k - 1 >= t, t least with 2^-t < 10^-precision_digits, it
+    returns [2 - 2^-t, 2] and builds nothing: 2 - 2^(1-k) < phi_k < 2, as
+    (x - 1) p = x^k (x - 2) + 1 is 1 - 2 (1 - 2^-k)^k < 0 at 2 - 2^(1-k) by
+    Bernoulli (Dresden and Du, J. Integer Sequences 17, 2014).
     """
     _check_params(k, precision_digits)
     tol = Fraction(1, 10**precision_digits)
+    t = tol.denominator.bit_length()
+    if k - 1 >= t:
+        return _interval((2 << t) - 1, 2 << t, t)
     return bisect_root(reciprocal_fibonacci_poly(k), 1, 2, tol, _phi_float(k))
 
 
@@ -291,15 +297,6 @@ class ComplexRootSet:
     error_radii: tuple[float, ...]
 
 
-def _gaussian(poly: IntPoly, x: int, y: int, s: int) -> tuple[int, int]:
-    """Real and imaginary parts of 2^(s d) p((x + iy) 2^-s), exactly, d the degree."""
-    re = im = shift = 0
-    for c in reversed(poly.coeffs):
-        re, im = re * x - im * y + (c << shift), re * y + im * x
-        shift += s
-    return re, im
-
-
 def _dyadic(values: list) -> tuple[list[int], int]:
     """Integers m_i and the least s with values[i] = m_i 2^-s exactly (values dyadic)."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -347,8 +344,8 @@ def _gaussian_power(x: int, y: int, n: int) -> tuple[int, int]:
 
 
 def _trinomial(k: int, x: int, y: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """2^(s k) p(z) and 2^(s (k-1)) p'(z) at z = (x + iy) 2^-s != 1, exactly:
-    the Gaussian integers P and P' that ``_gaussian`` gives for p and p'.
+    """2^(s k) p(z) and 2^(s (k-1)) p'(z) at z = (x + iy) 2^-s != 1, exactly,
+    as Gaussian integers P and P'.
 
     They come from T = x^(k+1) - 2x^k + 1 = (x - 1) p in O(log k) products:
     with Z = x + iy and u = 2^s, N = 2^(s(k+1)) T(z) = Z^(k+1) - 2u Z^k +

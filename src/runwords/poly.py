@@ -57,16 +57,11 @@ class IntPoly:
             return self.coeffs[i]
         return 0
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly(self[i] - other[i] for i in range(n))
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if not self or not other:
-            return IntPoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import inf
@@ -13,10 +16,10 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from runwords import cli, core, interval, numerics
+from runwords import cli, core, interval, numerics, oracle
 from runwords.cli import _csv_field, main
 from runwords.verify import TABLE1_K2, TABLE1_K3, TABLE2_LIMITS
 
@@ -139,6 +142,31 @@ def test_alpha_series_trivial_start(capsys):
     row = json.loads(out)[0]
     assert row["alpha_num"] == 1 and row["alpha_den"] == 2
     assert row["alpha_decimal"].startswith("0.5000")
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 30])
+def test_alpha_series_beyond_the_word_lengths_takes_the_series_of_n_max_plus_2(capsys, n_max):
+    # any k > n_max counts the same words of length <= n_max; only the
+    # k column and the limit keep the k given
+    def rows(k):
+        code, out, _ = run(capsys, "alpha-series", "--k", str(k), "--n-max", str(n_max),
+                           "--digits", "20", "--format", "json")
+        assert code == 0
+        return json.loads(out)
+
+    def alphas(rows):
+        return [(r["alpha_num"], r["alpha_den"], r["alpha_decimal"]) for r in rows]
+
+    reference = rows(n_max + 2)
+    assert [Fraction(r["alpha_num"], r["alpha_den"]) for r in reference] == [
+        core.alpha(n, n_max + 2) for n in range(1, n_max + 1)
+    ]
+    for k in (n_max + 3, n_max + 40, 10**12, 10**23):
+        got = rows(k)
+        assert alphas(got) == alphas(reference), k
+        assert all(r["k"] == k for r in got)
+        _, limit, _ = run(capsys, "limits", "--k-min", str(k), "--k-max", str(k), "--digits", "20")
+        assert {r["limit_decimal"] for r in got} == {limit.split()[1]}
 
 
 # sha256 of stdout, trailing newline included, as printed by the
@@ -489,20 +517,29 @@ def test_running_out_of_memory_is_a_one_line_internal_failure(capsys, monkeypatc
     assert err == "error: out of memory\n"
 
 
-HUGE_K = "100000000000000000000000"  # 10^23: phi_k's polynomial cannot even be indexed
+HUGE_K = "100000000000000000000000"  # 10^23: no polynomial of degree k can even be indexed
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected",
     [
-        ["phi", "--k", HUGE_K, "--digits", "5"],
-        ["limits", "--k-min", HUGE_K, "--k-max", HUGE_K],
-        ["alpha-series", "--k", HUGE_K, "--n-max", "5"],
+        (["phi", "--k", HUGE_K, "--digits", "5"],
+         f"phi_{HUGE_K} = 2.00000\n1/phi_{HUGE_K} = 0.50000\n"),
+        (["limits", "--k-min", HUGE_K, "--k-max", HUGE_K], f"{HUGE_K}  0.500000000000000\n"),
+        (["alpha-series", "--k", HUGE_K, "--n-max", "5"],
+         "".join(f"n={n:>5}  alpha=1/2 = 0.500000  (limit 0.500000)\n" for n in range(1, 6))),
     ],
     ids=["phi", "limits", "alpha-series"],
 )
-def test_a_size_beyond_the_index_range_is_a_one_line_internal_failure(capsys, argv):
+def test_a_huge_k_takes_the_closed_form(capsys, argv, expected):
+    # 2 - 2^(1-k) < phi_k < 2 decides phi_k's digits with no polynomial
     code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_a_size_beyond_the_index_range_is_a_one_line_internal_failure(capsys):
+    # the counts of dist by number of 1s are a list of n - n // k + 1 entries
+    code, out, err = run(capsys, "dist", "--k", str(10**20), "--n", str(10**20))
     assert code == 3 and out == ""
     assert err.startswith("error: too large to compute: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -549,3 +586,66 @@ def test_verify_quick_csv_quotes_details_with_commas(capsys):
 def test_csv_fields_read_back_as_written(values):
     line = ",".join(map(_csv_field, values))
     assert next(csv.reader(io.StringIO(line + "\n"))) == values
+
+
+# Edge values of the grammar fuzz test, by option dest: the bounds of each
+# check, the caps MAX_ROOTS_K and the oracle's n, and sizes past the
+# machine's index range.  --digits and --n stay small: a large one runs
+# long, which is no traceback.
+FUZZ_VALUES = {
+    "k": [-1, 0, 1, 2, 3, 64, 65, 2**31, 2**63, 10**23],
+    "n": [0, 1, oracle.LIST_MAX_N, oracle.ENUMERATE_MAX_N, oracle.ENUMERATE_MAX_N + 1, 300],
+    "digits": [0, 1, 50],
+    "n_max": [0, 1, 200],
+}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _draw_argv(data, name: str, sub: argparse.ArgumentParser, directory: str) -> list[str]:
+    argv = [name]
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction) or action.dest == "k_max":
+            continue
+        if action.dest == "k_min":
+            k_min = data.draw(st.sampled_from(FUZZ_VALUES["k"] + [None]))
+            if k_min is not None:
+                argv += ["--k-min", str(k_min)]
+            # --k-max within one of --k-min: a wide range of huge k never ends
+            k_max = action.default if k_min is None else k_min
+            argv += ["--k-max", str(k_max + data.draw(st.sampled_from([-1, 0, 1])))]
+            continue
+        if not action.required and not data.draw(st.booleans()):
+            continue
+        if action.dest == "out":
+            file = data.draw(st.sampled_from(["out.txt", "missing/out.txt"]))
+            value = os.path.join(directory, file)
+        elif action.choices is not None:
+            value = data.draw(st.sampled_from(sorted(action.choices)))
+        else:
+            value = data.draw(st.sampled_from(FUZZ_VALUES[action.dest]))
+        argv += [*action.option_strings[:1], str(value)]
+    return argv
+
+
+@settings(derandomize=True, deadline=10_000, max_examples=250)
+@given(st.data())
+def test_no_argv_of_the_grammar_escapes_main(data):
+    commands = _subcommands()
+    name = data.draw(st.sampled_from(sorted(set(commands) - {"verify"})))
+    if data.draw(st.integers(0, 39)) == 20:  # rarely: verify full takes about 0.2 s
+        name = "verify"
+    with tempfile.TemporaryDirectory() as directory:
+        argv = _draw_argv(data, name, commands[name], directory)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the argv
+                code = exc.code
+                assert code == 2, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in stderr.getvalue(), argv

@@ -69,6 +69,20 @@ def _exact_sign(poly: IntPoly, x: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
+def _gaussian(poly: IntPoly, x: int, y: int, s: int) -> tuple[int, int]:
+    """Real and imaginary parts of 2^(s d) poly((x + iy) 2^-s) by Horner, d the degree."""
+    re = im = shift = 0
+    for c in reversed(poly.coeffs):
+        re, im = re * x - im * y + (c << shift), re * y + im * x
+        shift += s
+    return re, im
+
+
+def _tol_bits(digits: int) -> int:
+    """The least t with 2^-t < 10^-digits."""
+    return (10**digits).bit_length()
+
+
 class TestBisectRoot:
     def test_bisects_where_newton_leaves_the_bracket(self):
         # x^9 - 2 is flat at the midpoint 1/2 of [-1, 2]: the Newton step
@@ -128,6 +142,7 @@ class TestBisectRoot:
 
     @pytest.mark.parametrize("digits", [1, 5, 6, 7, 15, 50, 300])
     def test_phi_takes_the_seeded_bracket(self, monkeypatch, digits):
+        # the root-finder cells: k - 1 < t, below the closed form
         signs = []
         sign = numerics._sign
         monkeypatch.setattr(
@@ -135,7 +150,7 @@ class TestBisectRoot:
             lambda p, m, e, s: signs.append((Fraction(m, 1 << e), sign(p, m, e, s)))
             or sign(p, m, e, s),
         )
-        for k in [*range(2, 65), 200, 1000]:
+        for k in [k for k in [*range(2, 65), 200, 1000] if k - 1 < _tol_bits(digits)]:
             signs.clear()
             guess = Fraction(numerics._phi_float(k))
             half = Fraction(1, 1 << numerics.SEED_BITS)
@@ -149,6 +164,44 @@ class TestBisectRoot:
             assert enc.width < Fraction(1, 10**digits)
             poly = reciprocal_fibonacci_poly(k)
             assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi), k
+
+    @pytest.mark.parametrize("digits", [1, 5, 6, 7, 15, 50, 300])
+    def test_phi_beyond_the_bits_of_tol_is_the_closed_form(self, monkeypatch, digits):
+        # the closed-form cells: k - 1 >= t gives [2 - 2^-t, 2], with no
+        # polynomial built and no sign taken
+        t = _tol_bits(digits)
+        ks = [k for k in [*range(2, 65), 200, 1000] if k - 1 >= t]
+        monkeypatch.setattr(numerics, "_sign", None)
+        monkeypatch.setattr(numerics, "reciprocal_fibonacci_poly", None)
+        encs = {k: numerics.phi(k, digits) for k in [*ks, 10**12, 10**23]}
+        monkeypatch.undo()
+        for k, enc in encs.items():
+            assert enc == Interval(2 - Fraction(1, 1 << t), Fraction(2)), k
+            assert enc.width < Fraction(1, 10**digits)
+        for k in ks:
+            poly = reciprocal_fibonacci_poly(k)
+            assert _exact_sign(poly, encs[k].lo) < 0 < _exact_sign(poly, encs[k].hi), k
+
+    @pytest.mark.parametrize("digits", [1, 2, 5, 15, 50, 100])
+    def test_phi_either_side_of_the_closed_form(self, digits):
+        # k = t is the last root-finder cell and k = t + 1 the first closed
+        # form: there 2 - 2^-t = 2 - 2^(1-k), the Dresden-Du bound itself
+        t = _tol_bits(digits)
+        for k in range(max(2, t - 2), t + 3):
+            enc = numerics.phi(k, digits)
+            assert enc.width < Fraction(1, 10**digits), k
+            poly = reciprocal_fibonacci_poly(k)
+            assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi), k
+            assert (enc.hi == 2) == (k - 1 >= t), k
+
+    def test_the_dresden_du_bound(self):
+        # 2 - 2^(1-k) < phi_k < 2: with x = 2 - 2^(1-k), the trinomial
+        # (x - 1) p = x^k (x - 2) + 1 is 1 - 2 (1 - 2^-k)^k, below 0
+        for k in [*range(2, 200), 500, 1000, 2000]:
+            assert 2 * (2**k - 1) ** k > 2 ** (k * k), k
+        for k in range(2, 65):
+            poly = reciprocal_fibonacci_poly(k)
+            assert _exact_sign(poly, 2 - Fraction(2, 1 << k)) < 0 < _exact_sign(poly, Fraction(2))
 
     @pytest.mark.parametrize(
         "k, digits", [(2, 3002), (8, 3002), (40, 3002), (40, 5002), (300, 1002)]
@@ -243,15 +296,14 @@ class TestBisectRoot:
         poly = IntPoly([-4, 3])
         for _ in range(40):
             poly = poly * IntPoly([-1, 1])
-        exact_calls = []
-        evaluate = numerics._gaussian
-        monkeypatch.setattr(
-            numerics, "_gaussian", lambda *args: exact_calls.append(args) or evaluate(*args)
-        )
+        points = []
+        evaluate = IntPoly.__call__
+        monkeypatch.setattr(IntPoly, "__call__", lambda p, x: points.append(x) or evaluate(p, x))
         tol = Fraction(1, 10**30)
         enc = numerics.bisect_root(poly, Fraction(5, 4), Fraction(2), tol)
-        assert exact_calls
         monkeypatch.undo()
+        # beyond the two bracket checks, exact values decided signs
+        assert points[:2] == [Fraction(5, 4), 2] and len(points) > 2
         assert enc.width < tol
         assert poly(enc.lo) < 0 < poly(enc.hi)
         assert Fraction(4, 3) in enc
@@ -580,7 +632,7 @@ class TestAllRoots:
     def test_trinomial_gives_the_horner_value_and_slope(self, k, x, y, s):
         assume((x, y) != (1 << s, 0))  # z = 1
         poly = reciprocal_fibonacci_poly(k)
-        expected = numerics._gaussian(poly, x, y, s), numerics._gaussian(poly.derivative(), x, y, s)
+        expected = _gaussian(poly, x, y, s), _gaussian(poly.derivative(), x, y, s)
         assert numerics._trinomial(k, x, y, s) == expected
 
     def test_dominant_root_matches_bisection(self):

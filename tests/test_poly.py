@@ -18,7 +18,6 @@ from runwords.poly import (
 def test_normalization_strips_trailing_zeros():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPoly([0, 0]).coeffs == ()
-    assert not IntPoly([])
     assert IntPoly([0, 1]).degree == 1
 
 
@@ -28,6 +27,7 @@ def test_arithmetic():
     assert (p * q).coeffs == (-1, 0, 1)
     assert (p - q).coeffs == (2,)
     assert (p * IntPoly([])).coeffs == ()
+    assert (IntPoly([]) * p).coeffs == (IntPoly([]) * IntPoly([])).coeffs == ()
 
 
 def test_evaluation_types():

@@ -150,7 +150,7 @@ class TestBivariate:
             t = expand_bivariate(k, 15)
             for n in range(16):
                 dist = core.ones_distribution(n, k)
-                assert all(t[n, m] == dist[m] for m in range(len(dist.counts)))
+                assert all(t[n, m] == c for m, c in enumerate(dist.counts))
 
     def test_index_bound(self):
         t = expand_bivariate(3, 12)
