@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a failed identity check of ``count``), 2 usage error, 3 internal
 failure (no certified result after refinement, root estimates that are
 not conjugate pairs, root disks that could not be certified, ``verify full``
-without mpmath, its independent referee, running out of memory, or a size
+without mpmath, its independent referee, running out of memory, a size
 beyond the machine's index range, as for ``dist``'s list of n - n // k + 1
-counts at k = n = 10^20).
+counts at k = n = 10^20, or ``phi``, ``limits`` and ``alpha-series`` with
+--digits 0 for k above about 13600, where phi_k's enclosure ends at 2 and
+the digit of 1/phi_k and L_k stays a tie).
 
 ``main`` builds its parser once per process and dispatches by command
 name at call time: ``args.command`` selects the module's ``cmd_<command>``.
@@ -165,8 +167,6 @@ def cmd_phi(args) -> int:
 def _bound(radius: float) -> str:
     """radius to three significant digits, rounded up, so the printed bound still holds."""
     exact = Decimal(radius)
-    if not exact:
-        return "0"
     return f"{float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 2), ROUND_CEILING)):.3g}"
 
 
@@ -237,9 +237,15 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(parser) -> None:
+def _command(sub, name: str, help_text: str, *options) -> argparse.ArgumentParser:
+    """Add subcommand ``name``: an int option per (flag, default), required
+    where the default is None, then --format and --out."""
+    parser = sub.add_parser(name, help=help_text)
+    for flag, default in options:
+        parser.add_argument(flag, type=int, required=default is None, default=default)
     parser.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     parser.add_argument("--out", help="write output to this file instead of stdout")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,57 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Statistics of binary words avoiding k consecutive 1s.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="number of length-n avoiders")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("table1", help="triangle of counts by number of 1s")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=9, dest="n_max")
-    _add_common(p)
-
-    p = sub.add_parser("limits", help="limit of the expected bit value per k")
-    p.add_argument("--k-min", type=int, default=2, dest="k_min")
-    p.add_argument("--k-max", type=int, default=13, dest="k_max")
-    p.add_argument("--digits", type=int, default=15)
-    _add_common(p)
-
-    p = sub.add_parser("alpha-series", help="expected bit value for n = 1..n_max")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=50, dest="n_max")
-    p.add_argument("--digits", type=int, default=6)
-    _add_common(p)
-
-    p = sub.add_parser("phi", help="generalized golden ratio")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--digits", type=int, default=15)
-    _add_common(p)
-
-    p = sub.add_parser("roots", help="all complex roots of the k-step polynomial")
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("dist", help="distribution of the number of 1s")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("popularity", help="total 1s over all avoiders")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("list", help="list all avoiders (n <= 16)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run the self-check battery")
-    p.add_argument("level", choices=("quick", "full"))
-    _add_common(p)
-
+    k, n, digits = ("--k", None), ("--n", None), ("--digits", 15)
+    _command(sub, "count", "number of length-n avoiders", k, n)
+    _command(sub, "table1", "triangle of counts by number of 1s", k, ("--n-max", 9))
+    _command(sub, "limits", "limit of the expected bit value per k",
+             ("--k-min", 2), ("--k-max", 13), digits)
+    _command(sub, "alpha-series", "expected bit value for n = 1..n_max",
+             k, ("--n-max", 50), ("--digits", 6))
+    _command(sub, "phi", "generalized golden ratio", k, digits)
+    _command(sub, "roots", "all complex roots of the k-step polynomial", k)
+    _command(sub, "dist", "distribution of the number of 1s", k, n)
+    _command(sub, "popularity", "total 1s over all avoiders", k, n)
+    _command(sub, "list", "list all avoiders (n <= 16)", k, n)
+    verify_parser = _command(sub, "verify", "run the self-check battery")
+    verify_parser.add_argument("level", choices=("quick", "full"))
     return parser
 
 

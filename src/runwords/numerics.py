@@ -44,9 +44,6 @@ GUARD_BITS = 64
 SEED_BITS = 44
 # Largest k that all_roots takes: a fixed cap, not a time budget.
 MAX_ROOTS_K = 64
-# An imaginary part below this on a float root estimate is rounding
-# noise on a real root: the polish starts such an estimate on the axis.
-SETTLED = 2.0**-26
 # Bits after the binary point of the polishing Newton step.
 POLISH_BITS = 128
 
@@ -318,10 +315,11 @@ def _estimates(k: int) -> list[complex]:
     j < k/2, as the map commutes with conjugation.  The distance to z_j is
     at most 2 from w_j and at least halves at each step, so 64 steps pass
     double precision; the loop stops at the first step that does not shrink.
+    For even k, w_(k/2) = -1 exactly and 2 - z > 0 keep z_(k/2) real.
     """
     estimates = [complex(_phi_float(k))]
     for j in range(1, k // 2 + 1):
-        z = w = cmath.rect(1.0, 2 * math.pi * j / k)
+        z = w = cmath.rect(1.0, 2 * math.pi * j / k) if 2 * j < k else cmath.rect(-1.0, 0.0)
         last = math.inf
         for _ in range(64):
             y = w * (2 - z) ** (-1 / k)
@@ -372,10 +370,9 @@ def _polish(k: int, z: complex) -> complex:
     The value and slope at the double z are exact Gaussian integers
     (``_trinomial``) and the quotient is truncated at 2^-POLISH_BITS, so
     the step lands far closer to the root than a double can resolve.  An
-    estimate within SETTLED of the real axis starts on it, and the real
-    polynomial keeps it there.
+    estimate on the real axis stays on it, as p is real.
     """
-    (x, y), s = _dyadic([z.real, z.imag if abs(z.imag) > SETTLED else 0.0])
+    (x, y), s = _dyadic([z.real, z.imag])
     (pr, pi), (dr, di) = _trinomial(k, x, y, s)
     # p / p' = (pr + i pi) / ((dr + i di) 2^s), at the scale 2^-f
     f = max(s, POLISH_BITS)

@@ -387,6 +387,23 @@ def test_roots_error_radius_is_rounded_up(capsys):
     assert rounded_up > 0
 
 
+@pytest.mark.parametrize(
+    "radius, printed",
+    [
+        (0.0, "0"),
+        (1.0, "1"),
+        (0.1, "0.101"),  # the double is 0.1000000000000000055...
+        (2.0**-50, "8.89e-16"),
+        (1.2345e-15, "1.24e-15"),
+        (9.991e-14, "1e-13"),
+        (123456.0, "1.24e+05"),
+    ],
+)
+def test_bound_rounds_up_at_three_digits(radius, printed):
+    assert cli._bound(radius) == printed
+    assert Fraction(printed) >= Fraction(radius)
+
+
 def test_determinism(capsys):
     first = run(capsys, "limits", "--k-max", "5", "--format", "csv")
     second = run(capsys, "limits", "--k-max", "5", "--format", "csv")
@@ -479,6 +496,65 @@ def test_commands_are_dispatched_at_call_time(capsys, monkeypatch):
     code, out, _ = run(capsys, "phi", "--k", "5", "--digits", "3")
     assert code == 0 and out == ""
     assert seen == [5]
+
+
+K = (("--k",), "k", int, True, None, None)
+N = (("--n",), "n", int, True, None, None)
+FORMAT = (("--format",), "format", None, False, "plain", ("plain", "csv", "json"))
+OUT = (("--out",), "out", None, False, None, None)
+# Each subcommand's help and its actions after -h, as
+# (option strings, dest, type, required, default, choices).
+GRAMMAR = {
+    "count": ("number of length-n avoiders", [K, N, FORMAT, OUT]),
+    "table1": ("triangle of counts by number of 1s", [
+        K,
+        (("--n-max",), "n_max", int, False, 9, None),
+        FORMAT, OUT,
+    ]),
+    "limits": ("limit of the expected bit value per k", [
+        (("--k-min",), "k_min", int, False, 2, None),
+        (("--k-max",), "k_max", int, False, 13, None),
+        (("--digits",), "digits", int, False, 15, None),
+        FORMAT, OUT,
+    ]),
+    "alpha-series": ("expected bit value for n = 1..n_max", [
+        K,
+        (("--n-max",), "n_max", int, False, 50, None),
+        (("--digits",), "digits", int, False, 6, None),
+        FORMAT, OUT,
+    ]),
+    "phi": ("generalized golden ratio", [
+        K,
+        (("--digits",), "digits", int, False, 15, None),
+        FORMAT, OUT,
+    ]),
+    "roots": ("all complex roots of the k-step polynomial", [K, FORMAT, OUT]),
+    "dist": ("distribution of the number of 1s", [K, N, FORMAT, OUT]),
+    "popularity": ("total 1s over all avoiders", [K, N, FORMAT, OUT]),
+    "list": ("list all avoiders (n <= 16)", [K, N, FORMAT, OUT]),
+    "verify": ("run the self-check battery", [
+        FORMAT, OUT,
+        ((), "level", None, True, None, ("quick", "full")),
+    ]),
+}
+
+
+def test_the_grammar_is_the_documented_one():
+    # structure, not help text, which differs across Python versions
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert subparsers.dest == "command" and subparsers.required
+    helps = {action.dest: action.help for action in subparsers._choices_actions}
+    grammar = {
+        name: (helps[name], [
+            (tuple(a.option_strings), a.dest, a.type, a.required, a.default, a.choices)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, sub in subparsers.choices.items()
+    }
+    assert grammar == GRAMMAR
+    assert list(grammar) == list(GRAMMAR)
 
 
 def test_the_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -603,6 +603,16 @@ class TestAllRoots:
             assert float(enclosure.hi) == nearest
             assert max(numerics.all_roots(k).roots, key=abs) == complex(nearest, 0)
 
+    def test_real_estimates_are_exactly_real(self):
+        # phi_k's and, for even k, the last estimate lie on the axis; every
+        # other one lies far off it, so no imaginary part is rounding noise
+        for k in range(2, numerics.MAX_ROOTS_K + 1):
+            phi, *inner = numerics._estimates(k)
+            if k % 2 == 0:
+                assert inner.pop().imag == 0.0  # from w_(k/2) = -1
+            assert phi.imag == 0.0
+            assert all(abs(z.imag) >= 0.048 for z in inner)
+
     def test_the_estimate_loop_stops_before_its_cap(self, monkeypatch):
         steps = []
 
