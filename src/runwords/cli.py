@@ -7,9 +7,9 @@ failure (no certified result after refinement, root estimates that are
 not conjugate pairs, root disks that could not be certified, ``verify full``
 without mpmath, its independent referee, running out of memory, a size
 beyond the machine's index range, as for ``dist``'s list of n - n // k + 1
-counts at k = n = 10^20, or ``phi``, ``limits`` and ``alpha-series`` with
---digits 0 for k above about 13600, where phi_k's enclosure ends at 2 and
-the digit of 1/phi_k and L_k stays a tie).
+counts at k = n = 10^20, or ``phi`` with --digits 0 for k above about
+13600, where phi_k's enclosure ends at 2 and the digit of 1/phi_k stays a
+tie).
 
 ``main`` builds its parser once per process and dispatches by command
 name at call time: ``args.command`` selects the module's ``cmd_<command>``.

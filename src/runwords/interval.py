@@ -2,12 +2,13 @@
 
 An ``Interval`` is a record of two ``fractions.Fraction`` endpoints,
 ``lo`` and ``hi``, that enclose a real number.  ``numerics`` computes in
-integer fixed point rounded outward and hands back intervals whose
-endpoints have about as many bits as the digits asked for; checks
-compare those endpoints exactly.  The one operation is the exact
-reciprocal ``r / x`` for a rational ``r``, used by ``numerics.inverse_phi``
-and the ``phi`` command.  This module also renders enclosures as
-certified decimals, refining them until every point rounds to the same digits.
+integer fixed point rounded outward and hands back dyadic endpoints of
+about as many bits as the digits asked for (L_k's are exact rationals of
+twice as many); checks compare endpoints exactly.  The one operation is
+the exact reciprocal ``r / x`` for a rational ``r``, used by
+``numerics.inverse_phi`` and the ``phi`` command.  This module also
+renders enclosures as certified decimals, refining them until every point
+rounds to the same digits.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ saves work and never decides a digit, and every enclosure is certified
 by a sign change.  Values are integer mantissas at a scale 2^-s: a sign
 is read from the outward-rounded fixed-point Horner enclosure
 (``IntPoly._enclose``) a guard above the bracket's scale, and from the
-exact value, ``IntPoly.__call__``, only when it contains 0.  The limit and
-the asymptotic coefficient are rational functions of phi_k, evaluated
-the same way in one pass on its enclosure at the working precision plus
-a guard, so mantissa sizes stay proportional to the digits asked for.
+exact value, ``IntPoly.__call__``, only when it contains 0.  The limit
+L_k rises with phi_k and is taken exactly at its enclosure's two ends;
+the asymptotic coefficient is evaluated in one fixed-point pass on both
+enclosures, so mantissa sizes stay proportional to the digits asked for.
 The complex roots are certified too: closed-form float estimates (phi_k's
 and the fixed points of a contraction), one integer fixed-point Newton
 polish of each root on or above the real axis, evaluated exactly through
@@ -202,14 +202,6 @@ def _mul(x: tuple[int, int], y: tuple[int, int], s: int) -> tuple[int, int]:
     return min(products) >> s, -(-max(products) >> s)
 
 
-def _div(x: tuple[int, int], y: tuple[int, int], s: int) -> tuple[int, int]:
-    """x / y for y > 0."""
-    (xl, xh), (yl, yh) = x, y
-    if yl <= 0:
-        raise ZeroDivisionError("fixed-point divisor not known to be positive")
-    return (xl << s) // (yh if xl >= 0 else yl), -((-xh << s) // (yl if xh >= 0 else yh))
-
-
 def _power(base: tuple[int, int], exponent: int, s: int) -> tuple[int, int]:
     """Fixed-point enclosure of base ** exponent, by square-and-multiply."""
     result = (1 << s, 1 << s)
@@ -220,11 +212,11 @@ def _power(base: tuple[int, int], exponent: int, s: int) -> tuple[int, int]:
     return result
 
 
-def _limit(k: int, root: tuple[int, int], s: int) -> tuple[int, int]:
-    """Fixed-point L_k = (k phi - 2k + 1) / ((k + 1) phi - 2k) for phi in ``root``."""
-    (lo, hi), one = root, 1 << s
-    return _div((k * lo - (2 * k - 1) * one, k * hi - (2 * k - 1) * one),
-                ((k + 1) * lo - 2 * k * one, (k + 1) * hi - 2 * k * one), s)
+def _limit(k: int, root: Interval) -> Interval:
+    """L_k = (k phi - 2k + 1) / ((k + 1) phi - 2k) at the two ends of ``root``,
+    exactly: it rises with phi where (k + 1) phi > 2k, so these enclose it."""
+    ends = root.lo.as_integer_ratio(), root.hi.as_integer_ratio()
+    return Interval(*(Fraction(k * n - (2 * k - 1) * d, (k + 1) * n - 2 * k * d) for n, d in ends))
 
 
 def limit_value(k: int, precision_digits: int = 15) -> Interval:
@@ -238,17 +230,15 @@ def limit_value(k: int, precision_digits: int = 15) -> Interval:
     h = (1 - x^k)/(1 - x), x h' = phi (k phi - 2k + 1)/(phi - 1) and
     g' = h + x h' = phi ((k + 1) phi - 2k)/(phi - 1), and the limit is
     L_k = N/D, N = k phi - 2k + 1, D = (k + 1) phi - 2k = 2 - (k + 1)/phi^k
-    > 1/2, as phi^k = h(phi) > k.  One fixed-point pass, rounded outward on
-    phi_k's enclosure [a, b] of width w < 10^-work, is narrower than
-    10^-precision_digits: L_k moves at (k - 1)/D^2 < 4(k - 1), and the
-    interval quotient, blind to N and D moving together, has width
-    (k w + (k + 1) w N(a)/D(b))/D(a) < (3k + 1) w, as N(a)/D(b) <= L_k < 1/2;
-    roundings add under 10^-work, and 10^(work - precision_digits) > 10^10 k.
+    > 1/2, as phi^k = h(phi) > k.  L_k rises with phi at (k - 1)/D^2, so its
+    exact values at the ends of phi_k's enclosure [a, b] (``_limit``)
+    enclose it.  With w = b - a < 10^-work, D(a) and D(b) are within
+    (k + 1) w < 10^-9 of D(phi_k), so above 1/4, and the width
+    (k - 1) w / (D(a) D(b)) is below 16 (k - 1) w < 10^-precision_digits,
+    as 10^(work - precision_digits) > 10^10 k.
     """
     _check_params(k, precision_digits)
-    work = precision_digits + GUARD_DIGITS + len(str(k))
-    s = _work_bits(work)
-    return _interval(*_limit(k, _fixed(phi(k, work), s), s), s)
+    return _limit(k, phi(k, precision_digits + GUARD_DIGITS + len(str(k))))
 
 
 def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 15) -> Interval:
@@ -259,10 +249,11 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     ``limit_value``'s g', the bits' f = x h g' = g' gives n phi^(n+1) (phi - 1)
     / ((k + 1) phi - 2k) = n phi^(n+1) (1 - L_k), and the 1s' f = x h' = L_k g'
     that times L_k.  One fixed-point pass on phi_k's enclosure of width
-    w < 10^-work is below 10^-precision_digits in relative width, as
-    relative widths add: phi^(n+1) has (n + 1) w, 1 - L_k > 1/2 and L_k > 1/4
-    under (18k + 6) w (``limit_value``), roundings far less; 10^10 k n <
-    10^(work - precision_digits).
+    w < 10^-work, with L_k's exact enclosure (``_limit``) rounded outward,
+    is below 10^-precision_digits in relative width, as relative widths
+    add: phi^(n+1) has (n + 1) w, and L_k's width is below 16 (k - 1) w
+    (``limit_value``), so 1 - L_k > 1/2 and L_k > 1/4 have 96 (k - 1) w
+    together, roundings far less; 10^10 k n < 10^(work - precision_digits).
     """
     _check_params(k, precision_digits)
     if target not in ("P", "T"):
@@ -272,9 +263,9 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
         raise ValueError("leading term n * phi^n is meaningless at n=0")
     work = precision_digits + GUARD_DIGITS + len(str(k * n))
     s = _work_bits(work)
-    root = _fixed(phi(k, work), s)
-    limit = _limit(k, root, s)
-    term = _mul(_power(root, n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
+    root = phi(k, work)
+    limit = _fixed(_limit(k, root), s)
+    term = _mul(_power(_fixed(root, s), n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
     if target == "P":
         term = _mul(term, limit, s)
     return _interval(n * term[0], n * term[1], s)

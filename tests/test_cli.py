@@ -613,6 +613,26 @@ def test_a_huge_k_takes_the_closed_form(capsys, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("k", [14000, 10**12, 10**23])
+def test_limit_at_a_large_k_rounds_to_0_digits(capsys, k):
+    # phi_k's enclosure [2 - 2^-t, 2] takes L_k exactly to [L(2 - 2^-t), 1/2],
+    # whose upper end is the tie 1/2 itself and rounds to even: 0
+    code, out, err = run(capsys, "limits", "--k-min", str(k), "--k-max", str(k), "--digits", "0")
+    assert (code, out, err) == (0, f"{k:>3}  0\n", "")
+    code, out, err = run(capsys, "alpha-series", "--k", str(k), "--n-max", "3", "--digits", "0")
+    rows = out.splitlines()
+    assert (code, err, len(rows)) == (0, "", 3)
+    assert all(row.endswith("(limit 0)") for row in rows)
+
+
+def test_phi_at_a_large_k_still_keeps_the_tie_at_0_digits(capsys):
+    # 1/phi_k's enclosure [1/2, 1/(2 - 2^-t)] keeps the tie 1/2 inside at
+    # every working precision: showing phi_k < 2 takes ends of k bits
+    code, out, err = run(capsys, "phi", "--k", "14000", "--digits", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: no certified result after 12 rounds of refinement\n"
+
+
 def test_a_size_beyond_the_index_range_is_a_one_line_internal_failure(capsys):
     # the counts of dist by number of 1s are a list of n - n // k + 1 entries
     code, out, err = run(capsys, "dist", "--k", str(10**20), "--n", str(10**20))

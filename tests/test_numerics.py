@@ -336,9 +336,6 @@ class TestFixedPoint:
         assert all(contains(product, a * b) for a in points[0] for b in points[1])
         if x[1] >= 0:
             assert contains(power, points[0][1] ** 5)
-        if y[0] > 0:
-            quotient = numerics._div(x, y, s)
-            assert all(contains(quotient, a / b) for a in points[0] for b in points[1])
 
 
 class TestReferee:
@@ -457,6 +454,25 @@ class TestLimitValue:
             assert earlier.hi < later.lo
         assert all(enc.hi < Fraction(1, 2) for enc in limits)
 
+    @given(st.data())
+    def test_limit_is_exact_at_both_ends(self, data):
+        # dyadic a < b in (2 - 2/(k + 1), 2], where (k + 1) x - 2k > 0
+        k, e = data.draw(st.integers(2, 64)), data.draw(st.integers(8, 200))
+        top = 2 << e
+        m = data.draw(st.integers(top * k // (k + 1) + 1, top - 1))
+        a, b = Fraction(m, 1 << e), Fraction(data.draw(st.integers(m + 1, top)), 1 << e)
+        enc = numerics._limit(k, Interval(a, b))
+        assert enc.lo == (k * a - 2 * k + 1) / ((k + 1) * a - 2 * k)
+        assert enc.hi == (k * b - 2 * k + 1) / ((k + 1) * b - 2 * k)
+        assert enc.lo < enc.hi
+
+    def test_limit_at_a_huge_k_ends_at_the_tie(self):
+        # phi's closed-form enclosure [2 - 2^-t, 2] ends where L = 1/2 exactly
+        k, a = 10**23, 2 - Fraction(1, 2**100)  # (k + 1) 2^-100 < 10^-7 keeps D > 0
+        enc = numerics._limit(k, Interval(a, 2))
+        assert enc.hi == Fraction(1, 2)
+        assert enc.lo == (k * a - 2 * k + 1) / ((k + 1) * a - 2 * k) < Fraction(1, 2)
+
 
 class TestAsymptoticCoefficient:
     def test_rejects_n_zero(self):
@@ -484,6 +500,17 @@ class TestAsymptoticCoefficient:
         est = numerics.asymptotic_coefficient(3, "T", 1000, 20)
         exact = 1000 * core.count_words(1000, 3)
         assert Fraction(99, 100) * exact < est.lo and est.hi < Fraction(101, 100) * exact
+
+    def test_bits_coefficient_rounds_to_the_count(self):
+        # Binet's rounding (Dresden and Du, J. Integer Sequences 17, 2014):
+        # the number W of n-bit words with no run of k ones is the integer
+        # nearest (phi - 1) phi^(n+1) / ((k + 1) phi - 2k), the bits'
+        # coefficient over n, far beyond the oracle's n <= 24
+        cells = [(n, k) for k in (2, 3, 5, 8, 20) for n in range(1, 301)]
+        for n, k in cells + [(10**4, 2), (10**4, 40)]:
+            count = core.count_words(n, k)
+            enc = numerics.asymptotic_coefficient(k, "T", n, len(str(count)) + 5)
+            assert count - Fraction(1, 2) < enc.lo / n and enc.hi / n < count + Fraction(1, 2)
 
     def test_matches_double_pole_transfer_in_mpmath(self):
         # n phi^(n+2) f(1/phi) / g'(1/phi)^2, with the numerators f of the 1s
