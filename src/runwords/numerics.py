@@ -5,7 +5,7 @@ uncertified fixed-point Newton steps climb a precision ladder that
 halves from the target width, starting in ``phi`` from a float64
 estimate of phi_k, and the bracket of the target width about the last
 iterate is returned only if the integer polynomial changes sign across
-it; otherwise bisection of the given bracket takes over.  The float only
+it; otherwise bisection of [1, 2] takes over.  The float only
 saves work and never decides a digit, and every enclosure is certified
 by a sign change.  Values are integer mantissas at a scale 2^-s: a sign
 is read from the outward-rounded fixed-point Horner enclosure
@@ -39,7 +39,7 @@ GUARD_DIGITS = 10
 GUARD_BITS = 64
 # Bits that a float64 root estimate is trusted to hold (it holds about
 # 50).  The Newton ladder stops halving at SEED_BITS // 2, and the
-# certificate's grid 2^-t has t >= SEED_BITS + 2, so at a few digits the
+# certificate's grid 2^-q has q >= SEED_BITS + 2, so at a few digits the
 # certified bracket still lies within the estimate +- 2^-SEED_BITS.
 SEED_BITS = 44
 # Largest k that all_roots takes: a fixed cap, not a time budget.
@@ -64,78 +64,61 @@ def _work_bits(work: int) -> int:
 
 
 def _sign(poly: IntPoly, m: int, e: int, s: int) -> int:
-    """Sign of poly(m 2^-e), read at the fixed-point scale 2^-s (s >= e).
+    """Sign of poly(m 2^-e), m >= 1, read at the fixed-point scale 2^-s (s >= e).
 
-    From the enclosure ``poly._enclose`` where m > 0 and it excludes 0,
-    otherwise from the exact value poly(m 2^-e), in Fractions.
+    From the enclosure ``poly._enclose`` where it excludes 0, otherwise
+    from the exact value poly(m 2^-e), in Fractions.
     """
-    if m > 0:
-        lo, hi = poly._enclose(m << (s - e), s)
-        if lo > 0 or hi < 0:
-            return 1 if lo > 0 else -1
+    lo, hi = poly._enclose(m << (s - e), s)
+    if lo > 0 or hi < 0:
+        return 1 if lo > 0 else -1
     value = poly(Fraction(m, 1 << e))
     return (value > 0) - (value < 0)
 
 
-def bisect_root(
-    poly: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction, guess: float | None = None
-) -> Interval:
-    """Enclosure of the root of poly in [lo, hi] to width < tol.
+def bisect_root(poly: IntPoly, t: int, guess: float) -> Interval:
+    """Enclosure of the root of poly in [1, 2] to width at most 2^-t.
 
-    Requires tol > 0 and dyadic ends with poly(lo) < 0 < poly(hi), checked
-    exactly (in integers for int ends).  Newton steps from ``guess``, or
-    from the midpoint without one, climb a ladder of precisions that
-    halves from tol's bits (Brent's schedule): at rung p the iterate and
-    its value carry p + GUARD_BITS bits and the slope half as many.  They
-    certify nothing.  They stop where an iterate leaves [lo, hi] or the
-    slope is not known positive, and an iterate whose value encloses to
-    exactly [0, 0] is returned as a point.  The one certificate is
-    [m - 1, m + 2] 2^-t about the last iterate x, m = floor(x 2^t), t three
-    bits past tol, clipped to [lo, hi]: it is returned if ``_sign`` gives
-    -1 at its low end and +1 at its high end.  Otherwise [lo, hi] is
-    bisected, with a sign at every midpoint, until narrower than tol.
+    Requires poly(1) < 0 < poly(2), checked exactly in integers.  Newton
+    steps from ``guess`` climb a ladder of precisions that halves from
+    t (Brent's schedule): at rung p the iterate and its value carry
+    p + GUARD_BITS bits and the slope half as many.  They certify
+    nothing, and stop where an iterate leaves [1, 2] or the slope is not
+    known positive.  The one certificate is [m - 1, m + 2] 2^-q about the
+    last iterate x, m = floor(x 2^q), q = max(t + 2, SEED_BITS + 2) so
+    that 3 2^-q < 2^-t, clipped to [1, 2]: it is returned if ``_sign``
+    gives -1 at its low end and +1 at its high end.  Otherwise [1, 2] is
+    bisected t times, with a sign at every midpoint; a dyadic root that a
+    midpoint hits exactly stays at an end of the enclosure.
     """
-    lo, hi, tol = (x if type(x) is int else Fraction(x) for x in (lo, hi, tol))
-    if not tol > 0:
-        raise ValueError(f"need tol > 0, got {tol}")
-    if not poly(lo) < 0 < poly(hi):
-        raise ValueError(f"no sign change for coefficients {poly.coeffs} on [{lo}, {hi}]")
-    if any(d & (d - 1) for d in (lo.denominator, hi.denominator)):
-        raise ValueError(f"need dyadic bracket ends, got [{lo}, {hi}]")
-    (a, b), e = _dyadic([lo, hi])
-    tol_bits = tol.denominator.bit_length() - tol.numerator.bit_length()
-    t = max(tol_bits + 3, SEED_BITS + 2)  # 3 2^-t < tol
-    rungs = [t + 1]
+    if not poly(1) < 0 < poly(2):
+        raise ValueError(f"no sign change for coefficients {poly.coeffs} on [1, 2]")
+    q = max(t + 2, SEED_BITS + 2)
+    rungs = [q + 1]
     while rungs[-1] > SEED_BITS // 2:
         rungs.append((rungs[-1] + 1) // 2)
     slope = poly.derivative()
-    n, d = (Fraction(lo + hi) / 2 if guess is None else guess).as_integer_ratio()
+    n, d = guess.as_integer_ratio()
     s = rungs[-2] + GUARD_BITS
     x = (n << s) // d  # the iterate x 2^-s
     for p in rungs[-2::-1]:  # ascending, less the lowest, which a float64 guess holds
         x, s = x << (p + GUARD_BITS - s), p + GUARD_BITS
-        if not max(a, 0) << s <= x << e <= b << s:  # _enclose needs x >= 0
+        if not 1 << s <= x <= 2 << s:
             break
         value = poly._enclose(x, s)
-        if value == (0, 0):
-            return _interval(x, x, s)
         derivative = slope._enclose(x >> (p - p // 2), p // 2 + GUARD_BITS)[0]
         if derivative <= 0:
             break
         x -= (value[0] << (p // 2 + GUARD_BITS)) // derivative
-    q, m = max(t, e), (x << t) >> s
-    a2, b2 = max((m - 1) << (q - t), a << (q - e)), min((m + 2) << (q - t), b << (q - e))
+    m = (x << q) >> s
+    a, b = max(m - 1, 1 << q), min(m + 2, 2 << q)
     w = q + GUARD_BITS
-    if a2 < b2 and _sign(poly, a2, q, w) < 0 < _sign(poly, b2, q, w):
-        return _interval(a2, b2, q)
-    while (b - a) * tol.denominator >= tol.numerator << e:
-        a, b, e = a << 1, b << 1, e + 1
-        mid = (a + b) >> 1
-        sign = _sign(poly, mid, e, e + GUARD_BITS)
-        if sign == 0:
-            return _interval(mid, mid, e)
-        a, b = (mid, b) if sign < 0 else (a, mid)
-    return _interval(a, b, e)
+    if a < b and _sign(poly, a, q, w) < 0 < _sign(poly, b, q, w):
+        return _interval(a, b, q)
+    a = 1  # the enclosure [a, a + 1] 2^-e
+    for e in range(1, t + 1):
+        a = 2 * a + (_sign(poly, 2 * a + 1, e, e + GUARD_BITS) < 0)
+    return _interval(a, a + 1, t)
 
 
 def _phi_float(k: int) -> float:
@@ -161,20 +144,20 @@ def phi(k: int, precision_digits: int = 15) -> Interval:
     x^k - x^(k-1) - ... - x - 1, enclosed to width < 10^-precision_digits.
 
     The bracket [1, 2] is certified (values 1-k < 0 and 1 > 0) and the
-    positive root is unique by Descartes' rule of signs.  The root
-    finder's Newton steps start from ``_phi_float``'s estimate; its
-    certificate, or bisection of [1, 2] where that fails, decides every
-    digit.  Where k - 1 >= t, t least with 2^-t < 10^-precision_digits, it
-    returns [2 - 2^-t, 2] and builds nothing: 2 - 2^(1-k) < phi_k < 2, as
+    positive root is unique by Descartes' rule of signs.  With t least
+    such that 2^-t < 10^-precision_digits, ``bisect_root`` encloses the
+    root to width 2^-t: its Newton steps start from ``_phi_float``'s
+    estimate, and its certificate, or bisection of [1, 2] where that
+    fails, decides every digit.  Where k - 1 >= t, it returns
+    [2 - 2^-t, 2] and builds nothing: 2 - 2^(1-k) < phi_k < 2, as
     (x - 1) p = x^k (x - 2) + 1 is 1 - 2 (1 - 2^-k)^k < 0 at 2 - 2^(1-k) by
     Bernoulli (Dresden and Du, J. Integer Sequences 17, 2014).
     """
     _check_params(k, precision_digits)
-    tol = Fraction(1, 10**precision_digits)
-    t = tol.denominator.bit_length()
+    t = (10**precision_digits).bit_length()
     if k - 1 >= t:
         return _interval((2 << t) - 1, 2 << t, t)
-    return bisect_root(reciprocal_fibonacci_poly(k), 1, 2, tol, _phi_float(k))
+    return bisect_root(reciprocal_fibonacci_poly(k), t, _phi_float(k))
 
 
 def inverse_phi(k: int, precision_digits: int = 15) -> Interval:

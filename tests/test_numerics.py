@@ -83,49 +83,45 @@ def _tol_bits(digits: int) -> int:
     return (10**digits).bit_length()
 
 
+def _grid_cell(root: Interval, t: int) -> Interval:
+    """The cell [a, a + 1] 2^-t with a = floor(x 2^t) for every x in ``root``."""
+    a = math.floor(root.lo * 2**t)
+    assert a == math.floor(root.hi * 2**t)
+    return Interval(Fraction(a, 1 << t), Fraction(a + 1, 1 << t))
+
+
+# 8 (2x - 3)^3 + 3: -5 at 1, 11 at 2, and flat at 3/2
+FLAT_AT_THREE_HALVES = IntPoly([-213, 432, -288, 64])
+
+
 class TestBisectRoot:
     def test_bisects_where_newton_leaves_the_bracket(self):
-        # x^9 - 2 is flat at the midpoint 1/2 of [-1, 2]: the Newton step
-        # from there lands far beyond the bracket, so the round must bisect.
-        poly = IntPoly([-2] + [0] * 8 + [1])
-        lo, hi, tol = Fraction(-1), Fraction(2), Fraction(1, 10**60)
-        mid = (lo + hi) / 2
-        assert mid - poly(mid) / poly.derivative()(mid) > hi
-        enc = numerics.bisect_root(poly, lo, hi, tol)
-        assert enc.width < tol
+        # From 3/2 + 2^-30 the Newton step lands near -1.8e16, far below
+        # the bracket, so the round must bisect: to the cell of width
+        # exactly 2^-t, where the certificate's is 3 2^-(t + 2).
+        poly, t, guess = FLAT_AT_THREE_HALVES, 200, Fraction(3, 2) + Fraction(1, 2**30)
+        assert guess - poly(guess) / poly.derivative()(guess) < -(10**16)
+        enc = numerics.bisect_root(poly, t, float(guess))
+        assert enc.width == Fraction(1, 1 << t)
         assert poly(enc.lo) < 0 < poly(enc.hi)
-        assert enc.lo**9 < 2 < enc.hi**9
+        assert (2 * enc.lo - 3) ** 3 < Fraction(-3, 8) < (2 * enc.hi - 3) ** 3
 
     def test_newton_takes_no_enclosure_below_zero(self, monkeypatch):
-        # x^3 - 2 on [-4, 2] starts Newton at the midpoint -1, where the
-        # fixed-point enclosure does not hold (it needs x >= 0): the steps
-        # stop there, and bisection finds the root.
+        # The Newton step that leaves [1, 2] is the last one: every point
+        # that the fixed-point enclosure sees (it needs x >= 0) is in [1, 2].
         points = []
         enclose = IntPoly._enclose
         monkeypatch.setattr(
-            IntPoly, "_enclose", lambda p, x, s: points.append(x) or enclose(p, x, s)
+            IntPoly, "_enclose",
+            lambda p, x, s: points.append(Fraction(x, 1 << s)) or enclose(p, x, s),
         )
-        poly, tol = IntPoly([-2, 0, 0, 1]), Fraction(1, 10**30)
-        enc = numerics.bisect_root(poly, -4, 2, tol)
-        assert points and min(points) >= 0
-        assert enc.width < tol and enc.lo**3 < 2 < enc.hi**3
+        enc = numerics.bisect_root(FLAT_AT_THREE_HALVES, 100, 1.5 + 2**-30)
+        assert points and all(1 <= x <= 2 for x in points)
+        assert enc.width <= Fraction(1, 1 << 100)
 
     def test_refuses_a_bracket_without_sign_change(self):
         with pytest.raises(ValueError):
-            numerics.bisect_root(fibonacci_poly(3), Fraction(1), Fraction(2), Fraction(1, 10))
-
-    def test_refuses_a_bracket_end_that_is_not_dyadic(self):
-        with pytest.raises(ValueError, match="dyadic"):
-            numerics.bisect_root(IntPoly([-3, 2]), Fraction(1, 3), Fraction(2), Fraction(1, 10))
-
-    def test_int_fraction_and_float_ends_give_one_enclosure(self):
-        poly, tol = reciprocal_fibonacci_poly(5), Fraction(1, 10**40)
-        ends = [(1, 2), (Fraction(1), Fraction(2)), (1.0, 2.0)]
-        encs = [numerics.bisect_root(poly, lo, hi, tol) for lo, hi in ends]
-        assert encs[0] == encs[1] == encs[2]
-        assert numerics.bisect_root(poly, 1.75, 2.0, tol) == numerics.bisect_root(
-            poly, Fraction(7, 4), 2, tol
-        )
+            numerics.bisect_root(fibonacci_poly(3), 10, 1.5)
 
     def test_phi_checks_its_bracket_in_integers(self, monkeypatch):
         points = []
@@ -133,12 +129,6 @@ class TestBisectRoot:
         monkeypatch.setattr(IntPoly, "__call__", lambda p, x: points.append(x) or evaluate(p, x))
         numerics.phi(40, 30)
         assert points == [1, 2] and all(type(x) is int for x in points)
-
-    @pytest.mark.parametrize("tol", [Fraction(0), 0, Fraction(-1, 10), -1.0])
-    def test_refuses_a_tolerance_that_is_not_positive(self, tol):
-        # With tol <= 0 the loop test never fails: it would bisect forever.
-        with pytest.raises(ValueError, match="tol"):
-            numerics.bisect_root(reciprocal_fibonacci_poly(3), 1, 2, tol)
 
     @pytest.mark.parametrize("digits", [1, 5, 6, 7, 15, 50, 300])
     def test_phi_takes_the_seeded_bracket(self, monkeypatch, digits):
@@ -222,35 +212,49 @@ class TestBisectRoot:
         assert len(scales) == 2
 
     @pytest.mark.parametrize(
-        "poly, lo, guess",
+        "k, guess",
         [
-            (reciprocal_fibonacci_poly(5), 1, 2.5),  # outside [lo, hi], above
-            (reciprocal_fibonacci_poly(5), 1, 0.5),  # outside [lo, hi], below
-            (reciprocal_fibonacci_poly(5), 1, numerics._phi_float(5) + 2.0**-10),
-            (reciprocal_fibonacci_poly(5), 1, numerics._phi_float(5) - 2.0**-10),
-            (reciprocal_fibonacci_poly(5), 1, 1.0),  # at a bracket end, and wrong
-            (reciprocal_fibonacci_poly(5), 1, 2.0),
-            (reciprocal_fibonacci_poly(40), 1, 1.0),
-            # -(3x - 2)(x - 3) is below 0 near 3.5 and above 0 at 2: the
-            # candidate's ends have the right signs but the wrong order
-            (IntPoly([-6, 11, -3]), 0, 3.5),
+            (5, 2.5),  # outside [1, 2], above
+            (5, 0.5),  # outside [1, 2], below
+            (5, numerics._phi_float(5) + 2.0**-10),
+            (5, numerics._phi_float(5) - 2.0**-10),
+            (5, 1.0),  # at a bracket end, and wrong
+            (5, 2.0),
+            (40, 1.0),
         ],
     )
-    def test_a_wrong_guess_leaves_the_unseeded_enclosure(self, poly, lo, guess):
-        tol = Fraction(1, 10**60)
-        enc = numerics.bisect_root(poly, lo, 2, tol, guess)
-        assert enc == numerics.bisect_root(poly, lo, 2, tol)
-        assert enc.width < tol
-        assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi)
+    def test_a_wrong_guess_leaves_the_unseeded_enclosure(self, k, guess):
+        # the certificate fails, and bisection of [1, 2], which no guess
+        # steers, gives the cell of phi_k
+        t = _tol_bits(60)
+        enc = numerics.bisect_root(reciprocal_fibonacci_poly(k), t, guess)
+        assert enc == _grid_cell(numerics.phi(k, 80), t)
+
+    def test_a_certificate_in_the_wrong_order_is_not_taken(self):
+        # -(3x - 4)(x - 3) is below 0 near 3.5 and above 0 at 2: the
+        # candidate's ends, clipped to [1, 2], have the right signs but the
+        # wrong order, so [1, 2] is bisected about the root 4/3.
+        t = _tol_bits(60)
+        enc = numerics.bisect_root(IntPoly([-12, 13, -3]), t, 3.5)
+        assert enc == _grid_cell(Interval(Fraction(4, 3), Fraction(4, 3)), t)
+
+    def test_the_fallback_is_the_cell_of_the_root(self):
+        # Bisection's enclosure is exactly [a, a + 1] 2^-t, a = floor(phi_k 2^t).
+        t = 100
+        for k in range(2, 30):
+            cell = _grid_cell(numerics.phi(k, 60), t)
+            poly = reciprocal_fibonacci_poly(k)
+            for guess in (0.5, 1.0, 2.5, 3.0):
+                assert numerics.bisect_root(poly, t, guess) == cell, (k, guess)
 
     @pytest.mark.parametrize("k", [53, 300])
     def test_a_guess_at_a_bracket_end_can_be_right(self, k):
         # phi_k is within 2^(1-k) of 2, so [2 - 2^-44, 2] holds it.
         assert numerics._phi_float(k) == 2.0
-        poly, tol = reciprocal_fibonacci_poly(k), Fraction(1, 10**300)
-        enc = numerics.bisect_root(poly, 1, 2, tol, 2.0)
+        poly, t = reciprocal_fibonacci_poly(k), _tol_bits(300)
+        enc = numerics.bisect_root(poly, t, 2.0)
         assert 2 - Fraction(1, 1 << numerics.SEED_BITS) <= enc.lo
-        assert enc.width < tol
+        assert enc.width <= Fraction(1, 1 << t)
         assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi)
 
     def test_float_estimate_ends_finite(self):
@@ -258,59 +262,60 @@ class TestBisectRoot:
             x = numerics._phi_float(k)
             assert math.isfinite(x) and 1.5 <= x <= 2, k
 
-    def test_exact_root_at_a_midpoint_is_returned_as_a_point(self):
-        # 2x - 3 vanishes at the first midpoint: the fixed-point enclosure
-        # there is [0, 0], and exact evaluation finds the zero.
-        enc = numerics.bisect_root(IntPoly([-3, 2]), 1, 2, Fraction(1, 10**20))
-        assert enc == Interval(Fraction(3, 2), Fraction(3, 2))
-
-    def test_a_guess_on_an_exact_root_is_returned_as_a_point(self):
-        enc = numerics.bisect_root(IntPoly([-3, 2]), 1, 2, Fraction(1, 10**20), 1.5)
-        assert enc == Interval(Fraction(3, 2), Fraction(3, 2))
+    def test_an_exact_dyadic_root_lies_in_the_enclosure(self):
+        # 2x - 3 vanishes at 3/2: Newton lands on it from 1 and stays there,
+        # and the certificate about it holds; from 0.5 bisection's first
+        # midpoint is the root, which stays the high end of every cell.
+        poly, t = IntPoly([-3, 2]), _tol_bits(20)
+        for guess in (1.0, 1.5, 1.75):
+            enc = numerics.bisect_root(poly, t, guess)
+            assert Fraction(3, 2) in enc and enc.width <= Fraction(1, 1 << t), guess
+        enc = numerics.bisect_root(poly, t, 0.5)
+        assert enc == Interval(Fraction(3, 2) - Fraction(1, 1 << t), Fraction(3, 2))
 
     def test_the_certificate_reaches_two_grid_points_above_the_iterate(self, monkeypatch):
-        # (2 - x)(2^56 x - R) rises and is concave on [1, 3/2]; its root
+        # (3 - x)(2^56 x - R) rises and is concave on [1, 2]; its root
         # r = 5/4 + 2^-56 lies just above 5/4 on the grid 2^-46 that
-        # tol = 10^-12 certifies on.  Newton from below a concave rise stays
+        # t = 40 certifies on.  Newton from below a concave rise stays
         # below r, here by about 2^-51 from a guess 2^-13 low, so the last
         # iterate x has m = floor(x 2^46) one below 5/4 2^46: (m + 1) 2^-46
         # is 5/4, below r, and only the certificate's reach to m + 2 holds r.
         R = 5 * 2**54 + 1
-        poly = IntPoly([-2 * R, 2**57 + R, -(2**56)])
+        poly = IntPoly([-3 * R, 3 * 2**56 + R, -(2**56)])
         signs = []
         sign = numerics._sign
         monkeypatch.setattr(
             numerics, "_sign", lambda p, m, e, s: signs.append(m) or sign(p, m, e, s)
         )
-        tol = Fraction(1, 10**12)
-        enc = numerics.bisect_root(poly, 1, Fraction(3, 2), tol, 1.25 - 2**-13)
+        enc = numerics.bisect_root(poly, 40, 1.25 - 2**-13)
         assert len(signs) == 2  # the certificate held: nothing was bisected
-        assert Fraction(R, 2**56) in enc and enc.width < tol
+        assert Fraction(R, 2**56) in enc and enc.width <= Fraction(1, 1 << 40)
         assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi)
 
     def test_exact_evaluation_decides_where_the_enclosure_cannot(self, monkeypatch):
-        # (3x - 4)(x - 1)^40 near 4/3 is about 3^-40 times the distance to
-        # the root, far below the rounding error of fixed-point Horner on
-        # its binomial coefficients, so the certificates fall back to the
-        # exact integer evaluation.
-        poly = IntPoly([-4, 3])
-        for _ in range(40):
-            poly = poly * IntPoly([-1, 1])
+        # (3x - 4)^41 near 4/3 is far below the rounding error of
+        # fixed-point Horner on its coefficients, up to 3^41 times
+        # binomials, so the certificates fall back to the exact integer
+        # evaluation.
+        poly = IntPoly([1])
+        for _ in range(41):
+            poly = poly * IntPoly([-4, 3])
+        assert (poly(1), poly(2)) == (-1, 2**41)
         points = []
         evaluate = IntPoly.__call__
         monkeypatch.setattr(IntPoly, "__call__", lambda p, x: points.append(x) or evaluate(p, x))
-        tol = Fraction(1, 10**30)
-        enc = numerics.bisect_root(poly, Fraction(5, 4), Fraction(2), tol)
+        t = _tol_bits(30)
+        enc = numerics.bisect_root(poly, t, 1.3)
         monkeypatch.undo()
         # beyond the two bracket checks, exact values decided signs
-        assert points[:2] == [Fraction(5, 4), 2] and len(points) > 2
-        assert enc.width < tol
+        assert points[:2] == [1, 2] and len(points) > 2
+        assert enc.width <= Fraction(1, 1 << t)
         assert poly(enc.lo) < 0 < poly(enc.hi)
         assert Fraction(4, 3) in enc
 
     @given(
         st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=61),
-        st.integers(min_value=-(2**60), max_value=2**61),
+        st.integers(min_value=1, max_value=2**61),
         st.integers(min_value=0, max_value=60),
         st.integers(min_value=0, max_value=100),
     )
