@@ -264,12 +264,17 @@ class TestBisectRoot:
 
     def test_an_exact_dyadic_root_lies_in_the_enclosure(self):
         # 2x - 3 vanishes at 3/2: Newton lands on it from 1 and stays there,
-        # and the certificate about it holds; from 0.5 bisection's first
-        # midpoint is the root, which stays the high end of every cell.
+        # and the certificate about it holds.
         poly, t = IntPoly([-3, 2]), _tol_bits(20)
         for guess in (1.0, 1.5, 1.75):
             enc = numerics.bisect_root(poly, t, guess)
             assert Fraction(3, 2) in enc and enc.width <= Fraction(1, 1 << t), guess
+
+    def test_an_exact_root_at_a_midpoint_stays_the_high_end(self):
+        # From 0.5 Newton leaves [1, 2], so [1, 2] is bisected: its first
+        # midpoint is the root 3/2 of 2x - 3, which stays the high end of
+        # every cell.
+        poly, t = IntPoly([-3, 2]), _tol_bits(20)
         enc = numerics.bisect_root(poly, t, 0.5)
         assert enc == Interval(Fraction(3, 2) - Fraction(1, 1 << t), Fraction(3, 2))
 
