@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections.abc import Callable
 from decimal import ROUND_CEILING, Decimal
@@ -165,9 +166,18 @@ def cmd_phi(args) -> int:
 
 
 def _bound(radius: float) -> str:
-    """radius to three significant digits, rounded up, so the printed bound still holds."""
+    """radius to three significant digits, rounded up, so the printed bound still holds.
+
+    The rounded-up decimal is printed through the least double at or above
+    it: a subnormal one such as 4.95e-324 has no double near it, and the
+    nearest, 5e-324, prints as 4.94e-324.
+    """
     exact = Decimal(radius)
-    return f"{float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 2), ROUND_CEILING)):.3g}"
+    ceiling = exact.quantize(Decimal(1).scaleb(exact.adjusted() - 2), ROUND_CEILING)
+    value = float(ceiling)
+    if Decimal(value) < ceiling:
+        value = math.nextafter(value, math.inf)
+    return f"{value:.3g}"
 
 
 def cmd_roots(args) -> int:

@@ -5,15 +5,17 @@ uncertified fixed-point Newton steps climb a precision ladder that
 halves from the target width, starting in ``phi`` from a float64
 estimate of phi_k, and the bracket of the target width about the last
 iterate is returned only if the integer polynomial changes sign across
-it; otherwise bisection of [1, 2] takes over.  The float only
-saves work and never decides a digit, and every enclosure is certified
-by a sign change.  Values are integer mantissas at a scale 2^-s: a sign
-is read from the outward-rounded fixed-point Horner enclosure
-(``IntPoly._enclose``) a guard above the bracket's scale, and from the
-exact value, ``IntPoly.__call__``, only when it contains 0.  The limit
-L_k rises with phi_k and is taken exactly at its enclosure's two ends;
-the asymptotic coefficient is evaluated in one fixed-point pass on both
-enclosures, so mantissa sizes stay proportional to the digits asked for.
+it; otherwise bisection of [1, 2] takes over.  ``phi``'s polynomial is
+the trinomial x^(k+1) - 2x^k + 1 = (x - 1)(x^k - h_k), each value in
+O(log k) products.  The float only saves work and never decides a
+digit, and every enclosure is certified by a sign change.  Values are
+integer mantissas at a scale 2^-s: a sign is read from the midpoint-
+radius fixed-point Horner enclosure (``IntPoly._enclose``) a guard above
+the bracket's scale, and from the exact value, ``IntPoly.__call__``,
+only when it contains 0.  The limit L_k rises with phi_k and is taken
+exactly at its enclosure's two ends; the asymptotic coefficient is
+evaluated in one fixed-point pass on both enclosures, so mantissa sizes
+stay proportional to the digits asked for.
 The complex roots are certified too: closed-form float estimates (phi_k's
 and the fixed points of a contraction), one integer fixed-point Newton
 polish of each root on or above the real axis, evaluated exactly through
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .interval import Interval
-from .poly import IntPoly, _check_k, _check_n, reciprocal_fibonacci_poly
+from .poly import IntPoly, _check_k, _check_n, trinomial_poly
 
 GUARD_DIGITS = 10
 # Bits kept beyond the working precision in every fixed-point evaluation.
@@ -67,7 +69,8 @@ def _sign(poly: IntPoly, m: int, e: int, s: int) -> int:
     """Sign of poly(m 2^-e), m >= 1, read at the fixed-point scale 2^-s (s >= e).
 
     From the enclosure ``poly._enclose`` where it excludes 0, otherwise
-    from the exact value poly(m 2^-e), in Fractions.
+    from the exact value poly(m 2^-e), by ``IntPoly.__call__`` on a
+    Fraction: Horner with a Fraction power across each long run of zeros.
     """
     lo, hi = poly._enclose(m << (s - e), s)
     if lo > 0 or hi < 0:
@@ -77,9 +80,10 @@ def _sign(poly: IntPoly, m: int, e: int, s: int) -> int:
 
 
 def bisect_root(poly: IntPoly, t: int, guess: float) -> Interval:
-    """Enclosure of the root of poly in [1, 2] to width at most 2^-t.
+    """Enclosure of a root of poly in [1, 2] to width at most 2^-t.
 
-    Requires poly(1) < 0 < poly(2), checked exactly in integers.  Newton
+    Requires poly(1) <= 0 < poly(2), checked exactly in integers: ``phi``'s
+    trinomial vanishes at 1, and is below 0 just above it.  Newton
     steps from ``guess`` climb a ladder of precisions that halves from
     t (Brent's schedule): at rung p the iterate and its value carry
     p + GUARD_BITS bits and the slope half as many.  They certify
@@ -91,7 +95,7 @@ def bisect_root(poly: IntPoly, t: int, guess: float) -> Interval:
     bisected t times, with a sign at every midpoint; a dyadic root that a
     midpoint hits exactly stays at an end of the enclosure.
     """
-    if not poly(1) < 0 < poly(2):
+    if not poly(1) <= 0 < poly(2):
         raise ValueError(f"no sign change for coefficients {poly.coeffs} on [1, 2]")
     q = max(t + 2, SEED_BITS + 2)
     rungs = [q + 1]
@@ -143,12 +147,16 @@ def phi(k: int, precision_digits: int = 15) -> Interval:
     """Generalized golden ratio: the unique root in (1, 2) of
     x^k - x^(k-1) - ... - x - 1, enclosed to width < 10^-precision_digits.
 
-    The bracket [1, 2] is certified (values 1-k < 0 and 1 > 0) and the
-    positive root is unique by Descartes' rule of signs.  With t least
-    such that 2^-t < 10^-precision_digits, ``bisect_root`` encloses the
-    root to width 2^-t: its Newton steps start from ``_phi_float``'s
-    estimate, and its certificate, or bisection of [1, 2] where that
-    fails, decides every digit.  Where k - 1 >= t, it returns
+    The positive root is unique by Descartes' rule of signs, and lies in
+    (1, 2) (values 1-k < 0 and 1 > 0).  ``bisect_root`` takes the
+    trinomial T = (x - 1)(x^k - h_k) = x^k (x - 2) + 1, with T(1) = 0 and
+    T(2) = 1: on (1, 2] it has the sign of x^k - h_k, that is of x - phi_k,
+    so each enclosure that its signs certify holds phi_k, and none holds
+    1, as T(3/2) = 1 - (3/2)^k / 2 < 0 puts phi_k above 3/2.  With t least
+    such that 2^-t < 10^-precision_digits, ``bisect_root`` encloses phi_k
+    to width 2^-t: its Newton steps start from ``_phi_float``'s estimate,
+    and its certificate, or bisection of [1, 2] where that fails, decides
+    every digit.  Where k - 1 >= t, it returns
     [2 - 2^-t, 2] and builds nothing: 2 - 2^(1-k) < phi_k < 2, as
     (x - 1) p = x^k (x - 2) + 1 is 1 - 2 (1 - 2^-k)^k < 0 at 2 - 2^(1-k) by
     Bernoulli (Dresden and Du, J. Integer Sequences 17, 2014).
@@ -157,7 +165,7 @@ def phi(k: int, precision_digits: int = 15) -> Interval:
     t = (10**precision_digits).bit_length()
     if k - 1 >= t:
         return _interval((2 << t) - 1, 2 << t, t)
-    return bisect_root(reciprocal_fibonacci_poly(k), t, _phi_float(k))
+    return bisect_root(trinomial_poly(k), t, _phi_float(k))
 
 
 def inverse_phi(k: int, precision_digits: int = 15) -> Interval:
@@ -172,8 +180,10 @@ def inverse_phi(k: int, precision_digits: int = 15) -> Interval:
 # Fixed-point enclosures: pairs (lo, hi) of integers that stand for
 # [lo 2^-s, hi 2^-s], each operation rounding lo down and hi up.
 
-def _fixed(x: Interval, s: int) -> tuple[int, int]:
-    return (x.lo.numerator << s) // x.lo.denominator, -((-x.hi.numerator << s) // x.hi.denominator)
+def _fixed(lo: tuple[int, int], hi: tuple[int, int], s: int) -> tuple[int, int]:
+    """[a/b, c/d] rounded outward to the scale 2^-s, for lo = (a, b), hi = (c, d), b, d > 0."""
+    (a, b), (c, d) = lo, hi
+    return (a << s) // b, -((-c << s) // d)
 
 
 def _interval(lo: int, hi: int, s: int) -> Interval:
@@ -195,11 +205,17 @@ def _power(base: tuple[int, int], exponent: int, s: int) -> tuple[int, int]:
     return result
 
 
-def _limit(k: int, root: Interval) -> Interval:
-    """L_k = (k phi - 2k + 1) / ((k + 1) phi - 2k) at the two ends of ``root``,
-    exactly: it rises with phi where (k + 1) phi > 2k, so these enclose it."""
+def _limit_ends(k: int, root: Interval) -> list[tuple[int, int]]:
+    """L_k = (k phi - 2k + 1) / ((k + 1) phi - 2k) at each end n/d of ``root``,
+    as the unreduced ratio (k n - (2k - 1) d, (k + 1) n - 2k d)."""
     ends = root.lo.as_integer_ratio(), root.hi.as_integer_ratio()
-    return Interval(*(Fraction(k * n - (2 * k - 1) * d, (k + 1) * n - 2 * k * d) for n, d in ends))
+    return [(k * n - (2 * k - 1) * d, (k + 1) * n - 2 * k * d) for n, d in ends]
+
+
+def _limit(k: int, root: Interval) -> Interval:
+    """L_k at the two ends of ``root``, exactly: it rises with phi where
+    (k + 1) phi > 2k, so these enclose it."""
+    return Interval(*(Fraction(n, d) for n, d in _limit_ends(k, root)))
 
 
 def limit_value(k: int, precision_digits: int = 15) -> Interval:
@@ -232,9 +248,10 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     ``limit_value``'s g', the bits' f = x h g' = g' gives n phi^(n+1) (phi - 1)
     / ((k + 1) phi - 2k) = n phi^(n+1) (1 - L_k), and the 1s' f = x h' = L_k g'
     that times L_k.  One fixed-point pass on phi_k's enclosure of width
-    w < 10^-work, with L_k's exact enclosure (``_limit``) rounded outward,
-    is below 10^-precision_digits in relative width, as relative widths
-    add: phi^(n+1) has (n + 1) w, and L_k's width is below 16 (k - 1) w
+    w < 10^-work, with L_k's exact enclosure rounded outward from its
+    unreduced ratios (``_limit_ends``), is below 10^-precision_digits in
+    relative width, as relative widths add: phi^(n+1) has (n + 1) w, and
+    L_k's width is below 16 (k - 1) w
     (``limit_value``), so 1 - L_k > 1/2 and L_k > 1/4 have 96 (k - 1) w
     together, roundings far less; 10^10 k n < 10^(work - precision_digits).
     """
@@ -247,8 +264,9 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     work = precision_digits + GUARD_DIGITS + len(str(k * n))
     s = _work_bits(work)
     root = phi(k, work)
-    limit = _fixed(_limit(k, root), s)
-    term = _mul(_power(_fixed(root, s), n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
+    limit = _fixed(*_limit_ends(k, root), s)
+    base = _fixed(root.lo.as_integer_ratio(), root.hi.as_integer_ratio(), s)
+    term = _mul(_power(base, n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
     if target == "P":
         term = _mul(term, limit, s)
     return _interval(n * term[0], n * term[1], s)

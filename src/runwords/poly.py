@@ -2,16 +2,19 @@
 
 The one polynomial typed in is h_k = 1 + x + ... + x^(k-1), a run of
 fewer than k 1s counted by its length.  Every other one is derived from
-it: g_k = x h_k - 1, phi_k's polynomial x^k - h_k, and the numerators of
-the word, 1s and bits generating functions.  Degrees stay small (a few
-times k), so a plain coefficient list is fine.  Evaluation is one Horner
-loop over whatever numbers it is given, and ``_enclose`` is its outward-
-rounded integer fixed-point form at one point.
+it: g_k = x h_k - 1, phi_k's trinomial (x - 1)(x^k - h_k), and the
+numerators of the word, 1s and bits generating functions.  Degrees stay
+small (a few times k), so a plain coefficient list is fine.  Evaluation
+is one Horner loop over whatever numbers it is given, crossing each long
+run of zero coefficients with one power of x, and ``_enclose`` is its
+midpoint-radius integer fixed-point form at one point, on ``_power``'s
+fixed-point powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import sub
 
@@ -72,26 +75,98 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
+    @cached_property
+    def _runs(self) -> tuple[tuple[int, int], ...]:
+        """Horner's steps (c, gap) from the top: add c, then multiply by x^gap.
+
+        A step ends at each nonzero coefficient and at degree 0, whose step
+        (gap 0) adds the constant term.  A run of zeros is crossed by one
+        power of x where gap >= 6, and otherwise stepped through as zero
+        coefficients (gap 1): x^gap and its product take
+        bit_length(gap) + popcount(gap) - 1 big products against gap steps,
+        so the power saves none below gap 4, one at gap 4 and 5, which does
+        not pay for its call at a few hundred bits, and two or more from 6.
+        Built at the first evaluation, not in __init__, as most
+        polynomials are never evaluated.
+        """
+        coeffs, runs = self.coeffs, []
+        top = len(coeffs) - 1
+        for i in range(top - 1, -1, -1):
+            if coeffs[i] or not i:
+                gap = top - i
+                if gap > 5:
+                    runs.append((coeffs[top], gap))
+                else:
+                    runs.append((coeffs[top], 1))
+                    runs += [(0, 1)] * (gap - 1)
+                top = i
+        if coeffs:
+            runs.append((coeffs[top], 0))
+        return tuple(runs)
+
     def __call__(self, x):
-        """Horner evaluation; works for int, Fraction and complex."""
+        """Horner evaluation over ``_runs``; works for int, Fraction and complex."""
         acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+        for c, gap in self._runs:
+            acc = (acc + c) * x**gap
         return acc
 
     def _enclose(self, x: int, s: int) -> tuple[int, int]:
         """Integers lo, hi with lo 2^-s <= p(x 2^-s) <= hi 2^-s, for x >= 0.
 
-        Fixed-point Horner rounded outward: x >= 0 keeps the order of the
-        accumulator's ends, so each product is rounded down for lo and up
-        for hi.
+        Horner on a ball m +- r at the scale 2^-s, over ``_runs``: add c,
+        then multiply by the ball b +- rb of x^gap (x itself, exact, when
+        gap = 1; else ``_power``), rounded by ``_power``'s rule.  The top
+        term's ball is c (b +- rb) exactly; after it, as c b is exact at
+        the scale, the one big product of a step is m b.
         """
-        lo = hi = 0
-        for c in reversed(self.coeffs):
-            c <<= s
-            lo = (lo * x >> s) + c
-            hi = c - (-hi * x >> s)
-        return lo, hi
+        runs = self._runs
+        if not runs:
+            return 0, 0
+        mask = (1 << s) - 1
+        c, gap = runs[0]
+        b, rb = (x, 0) if gap == 1 else _power(x, gap, s) if gap else (1 << s, 0)
+        m, r = c * b, abs(c) * rb
+        for c, gap in runs[1:]:
+            if gap == 1:
+                product = m * x
+                r = (r * x + mask >> s) + (product & mask != 0)
+                m = (product >> s) + c * x
+            elif gap:
+                b, rb = _power(x, gap, s)
+                product = m * b
+                r = (abs(m + (c << s)) * rb + r * (b + rb) + mask >> s) + (product & mask != 0)
+                m = (product >> s) + c * b
+            else:
+                m += c << s
+        return m - r, m + r
+
+
+def _power(x: int, n: int, s: int) -> tuple[int, int]:
+    """Ball m +- r at the scale 2^-s that holds X^n, X = x 2^-s >= 0, n >= 1.
+
+    The product of balls a +- ra and b +- rb (midpoints and radii in units
+    of 2^-s, b >= 0) holds every product of their points within
+    e = |a| rb + ra (b + rb) of a b, in units of 2^-2s.  Its ball at the
+    scale is floor(a b 2^-s) +- (ceil(e 2^-s) + d), where d = 1 if the
+    shift drops nonzero bits of a b and 0 if it drops none: floor loses
+    less than 1 unit, and nothing when exact.  So an exact x stays exact
+    until a shift drops bits.  Square-and-multiply takes squares (b = a,
+    e = ra (2a + ra)) and products with x (rb = 0, e = ra x); the radius
+    grows about in step with X^n's relative rounding, by about log2 n
+    bits over the scale's resolution.
+    """
+    mask = (1 << s) - 1
+    m, r = x, 0
+    for bit in bin(n)[3:]:
+        square = m * m
+        r = ((2 * m + r) * r + mask >> s) + (square & mask != 0)
+        m = square >> s
+        if bit == "1":
+            product = m * x
+            r = (r * x + mask >> s) + (product & mask != 0)
+            m = product >> s
+    return m, r
 
 
 def _x_power(i: int) -> IntPoly:
@@ -109,9 +184,15 @@ def fibonacci_poly(k: int) -> IntPoly:
     return _x_power(1) * _h(k) - _x_power(0)
 
 
-def reciprocal_fibonacci_poly(k: int) -> IntPoly:
-    """x^k - h_k = x^k - x^(k-1) - ... - x - 1; its largest-modulus root is phi_k."""
-    return _x_power(k) - _h(k)
+def trinomial_poly(k: int) -> IntPoly:
+    """T_k = (x - 1)(x^k - h_k) = x^(k+1) - 2x^k + 1.
+
+    On (1, 2] it has the sign of x^k - h_k, whose largest-modulus root is
+    phi_k, so phi_k is its one root there.  A value takes O(log k)
+    products, for the one power x^k, where x^k - h_k takes k.
+    """
+    p = [-c for c in _h(k).coeffs] + [1]  # x^k - h_k
+    return IntPoly(map(sub, [0] + p, p + [0]))  # x p - p
 
 
 def words_fraction(k: int) -> tuple[IntPoly, IntPoly]:

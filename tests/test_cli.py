@@ -16,7 +16,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runwords import cli, core, interval, numerics, oracle
@@ -397,11 +397,19 @@ def test_roots_error_radius_is_rounded_up(capsys):
         (1.2345e-15, "1.24e-15"),
         (9.991e-14, "1e-13"),
         (123456.0, "1.24e+05"),
+        (5e-324, "9.88e-324"),  # 4.95e-324 has no double: the next one up is 2^-1073
     ],
 )
 def test_bound_rounds_up_at_three_digits(radius, printed):
     assert cli._bound(radius) == printed
     assert Fraction(printed) >= Fraction(radius)
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True))
+@example(5e-324)
+@example(2.2250738585072014e-308)  # the least normal double
+def test_bound_is_at_least_the_radius(radius):
+    assert Decimal(cli._bound(radius)) >= Decimal(radius)
 
 
 def test_determinism(capsys):

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 from runwords import core, numerics
 from runwords.interval import Interval, render_decimal
-from runwords.poly import IntPoly, fibonacci_poly, reciprocal_fibonacci_poly
+from runwords.poly import IntPoly, fibonacci_poly
 from runwords.verify import _distance
+
+
+def _phi_poly(k: int) -> IntPoly:
+    """x^k - h_k = x^k - x^(k-1) - ... - x - 1, phi_k's dense polynomial, typed in here."""
+    return IntPoly([-1] * k + [1])
 
 
 class TestPhi:
@@ -26,7 +31,7 @@ class TestPhi:
     def test_defining_property(self):
         for k in (2, 3, 5, 8):
             enc = numerics.phi(k, 20)
-            poly = reciprocal_fibonacci_poly(k)
+            poly = _phi_poly(k)
             assert poly(enc.lo) < 0 < poly(enc.hi)
 
     def test_large_k_approaches_two(self):
@@ -152,8 +157,18 @@ class TestBisectRoot:
             assert all(lo <= x <= hi for x, _ in signs), k
             assert lo <= enc.lo <= enc.hi <= hi
             assert enc.width < Fraction(1, 10**digits)
-            poly = reciprocal_fibonacci_poly(k)
+            poly = _phi_poly(k)
             assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi), k
+
+    @pytest.mark.parametrize("digits", [1, 2, 5, 15, 30, 50, 100, 300, 1000])
+    def test_phi_on_the_trinomial_is_the_dense_enclosure(self, digits):
+        # phi's enclosure, from (x - 1)(x^k - h_k), is the one bisect_root
+        # gives on x^k - h_k itself with the same t and float guess, at
+        # every root-finder cell (k - 1 < t)
+        t = _tol_bits(digits)
+        for k in [k for k in [*range(2, 70), 100, 200, 300, 1000, 3000] if k - 1 < t]:
+            dense = numerics.bisect_root(_phi_poly(k), t, numerics._phi_float(k))
+            assert numerics.phi(k, digits) == dense, k
 
     @pytest.mark.parametrize("digits", [1, 5, 6, 7, 15, 50, 300])
     def test_phi_beyond_the_bits_of_tol_is_the_closed_form(self, monkeypatch, digits):
@@ -162,14 +177,14 @@ class TestBisectRoot:
         t = _tol_bits(digits)
         ks = [k for k in [*range(2, 65), 200, 1000] if k - 1 >= t]
         monkeypatch.setattr(numerics, "_sign", None)
-        monkeypatch.setattr(numerics, "reciprocal_fibonacci_poly", None)
+        monkeypatch.setattr(numerics, "trinomial_poly", None)
         encs = {k: numerics.phi(k, digits) for k in [*ks, 10**12, 10**23]}
         monkeypatch.undo()
         for k, enc in encs.items():
             assert enc == Interval(2 - Fraction(1, 1 << t), Fraction(2)), k
             assert enc.width < Fraction(1, 10**digits)
         for k in ks:
-            poly = reciprocal_fibonacci_poly(k)
+            poly = _phi_poly(k)
             assert _exact_sign(poly, encs[k].lo) < 0 < _exact_sign(poly, encs[k].hi), k
 
     @pytest.mark.parametrize("digits", [1, 2, 5, 15, 50, 100])
@@ -180,7 +195,7 @@ class TestBisectRoot:
         for k in range(max(2, t - 2), t + 3):
             enc = numerics.phi(k, digits)
             assert enc.width < Fraction(1, 10**digits), k
-            poly = reciprocal_fibonacci_poly(k)
+            poly = _phi_poly(k)
             assert _exact_sign(poly, enc.lo) < 0 < _exact_sign(poly, enc.hi), k
             assert (enc.hi == 2) == (k - 1 >= t), k
 
@@ -190,7 +205,7 @@ class TestBisectRoot:
         for k in [*range(2, 200), 500, 1000, 2000]:
             assert 2 * (2**k - 1) ** k > 2 ** (k * k), k
         for k in range(2, 65):
-            poly = reciprocal_fibonacci_poly(k)
+            poly = _phi_poly(k)
             assert _exact_sign(poly, 2 - Fraction(2, 1 << k)) < 0 < _exact_sign(poly, Fraction(2))
 
     @pytest.mark.parametrize(
@@ -227,7 +242,7 @@ class TestBisectRoot:
         # the certificate fails, and bisection of [1, 2], which no guess
         # steers, gives the cell of phi_k
         t = _tol_bits(60)
-        enc = numerics.bisect_root(reciprocal_fibonacci_poly(k), t, guess)
+        enc = numerics.bisect_root(_phi_poly(k), t, guess)
         assert enc == _grid_cell(numerics.phi(k, 80), t)
 
     def test_a_certificate_in_the_wrong_order_is_not_taken(self):
@@ -243,7 +258,7 @@ class TestBisectRoot:
         t = 100
         for k in range(2, 30):
             cell = _grid_cell(numerics.phi(k, 60), t)
-            poly = reciprocal_fibonacci_poly(k)
+            poly = _phi_poly(k)
             for guess in (0.5, 1.0, 2.5, 3.0):
                 assert numerics.bisect_root(poly, t, guess) == cell, (k, guess)
 
@@ -251,7 +266,7 @@ class TestBisectRoot:
     def test_a_guess_at_a_bracket_end_can_be_right(self, k):
         # phi_k is within 2^(1-k) of 2, so [2 - 2^-44, 2] holds it.
         assert numerics._phi_float(k) == 2.0
-        poly, t = reciprocal_fibonacci_poly(k), _tol_bits(300)
+        poly, t = _phi_poly(k), _tol_bits(300)
         enc = numerics.bisect_root(poly, t, 2.0)
         assert 2 - Fraction(1, 1 << numerics.SEED_BITS) <= enc.lo
         assert enc.width <= Fraction(1, 1 << t)
@@ -485,6 +500,24 @@ class TestLimitValue:
 
 
 class TestAsymptoticCoefficient:
+    @pytest.mark.parametrize("n", [1, 100, 800])
+    def test_fixed_limit_is_the_rounded_exact_limit(self, n):
+        # L_k's fixed-point ends, from the unreduced ratios, are those of
+        # its reduced Fractions, and so is each coefficient built on them
+        for k in range(2, 41):
+            work = 15 + numerics.GUARD_DIGITS + len(str(k * n))
+            s, root = numerics._work_bits(work), numerics.phi(k, work)
+            exact = numerics._limit(k, root)
+            limit = numerics._fixed(exact.lo.as_integer_ratio(), exact.hi.as_integer_ratio(), s)
+            assert numerics._fixed(*numerics._limit_ends(k, root), s) == limit, k
+            base = numerics._fixed(root.lo.as_integer_ratio(), root.hi.as_integer_ratio(), s)
+            bits = numerics._mul(
+                numerics._power(base, n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s
+            )
+            for target, term in (("T", bits), ("P", numerics._mul(bits, limit, s))):
+                expected = numerics._interval(n * term[0], n * term[1], s)
+                assert numerics.asymptotic_coefficient(k, target, n) == expected, (k, target)
+
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             numerics.asymptotic_coefficient(2, "P", 0)
@@ -571,7 +604,7 @@ class TestAllRoots:
         # than the last bits of a double.
         for k in (3, 8, 17, 53, 64):
             roots = numerics.all_roots(k)
-            poly = reciprocal_fibonacci_poly(k)
+            poly = _phi_poly(k)
             for z, r in zip(roots.roots, roots.error_radii):
                 x, y = Fraction(z.real), Fraction(z.imag)
                 (vr, vi), (sr, si) = (_horner(q, x, y) for q in (poly, poly.derivative()))
@@ -678,7 +711,7 @@ class TestAllRoots:
     )
     def test_trinomial_gives_the_horner_value_and_slope(self, k, x, y, s):
         assume((x, y) != (1 << s, 0))  # z = 1
-        poly = reciprocal_fibonacci_poly(k)
+        poly = _phi_poly(k)
         expected = _gaussian(poly, x, y, s), _gaussian(poly.derivative(), x, y, s)
         assert numerics._trinomial(k, x, y, s) == expected
 

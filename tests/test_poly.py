@@ -9,10 +9,22 @@ from runwords.poly import (
     _g_squared,
     fibonacci_poly,
     pk_fraction,
-    reciprocal_fibonacci_poly,
     tk_fraction,
+    trinomial_poly,
     words_fraction,
 )
+
+
+def _phi_poly(k: int) -> IntPoly:
+    """x^k - h_k = x^k - x^(k-1) - ... - x - 1, typed in here."""
+    return IntPoly([-1] * k + [1])
+
+
+def _plain_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def test_normalization_strips_trailing_zeros():
@@ -45,12 +57,29 @@ def test_fraction_evaluation_matches_term_sum(coeffs, x):
     assert IntPoly(coeffs)(x) == sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
 
 
+coefficient = st.integers(min_value=-(2**40), max_value=2**40)
+
+
+@st.composite
+def sparse_polys(draw):
+    """Dense, or a few terms at degrees up to 60: runs of zeros of every
+    length, some ending at degree 0."""
+    if draw(st.booleans()):
+        return IntPoly(draw(st.lists(coefficient, max_size=61)))
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=60), coefficient, max_size=5))
+    return IntPoly([terms.get(i, 0) for i in range(max(terms, default=-1) + 1)])
+
+
 @st.composite
 def dyadic_enclosure_inputs(draw):
     """A polynomial, a scale s and a mantissa 0 <= x <= 2^(s+1)."""
-    coeffs = draw(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=61))
     s = draw(st.integers(min_value=1, max_value=200))
-    return IntPoly(coeffs), s, draw(st.integers(min_value=0, max_value=2 << s))
+    return draw(sparse_polys()), s, draw(st.integers(min_value=0, max_value=2 << s))
+
+
+def _holds(p: IntPoly, x: int, s: int) -> bool:
+    lo, hi = p._enclose(x, s)
+    return Fraction(lo, 1 << s) <= p(Fraction(x, 1 << s)) <= Fraction(hi, 1 << s)
 
 
 @given(dyadic_enclosure_inputs())
@@ -58,9 +87,50 @@ def test_fixed_point_enclosure_contains_exact_value(inputs):
     p, s, x = inputs
     lo, hi = p._enclose(x, s)
     exact = p(Fraction(x, 1 << s))
+    assert exact == _plain_horner(p.coeffs, Fraction(x, 1 << s))
     assert Fraction(lo, 1 << s) <= exact <= Fraction(hi, 1 << s)
     if lo > 0 or hi < 0:  # a conclusive sign is the exact sign
         assert (exact > 0) == (lo > 0)
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_enclosure_holds_at_every_small_point(s):
+    # every x 2^-s in [0, 2], where shifts drop few bits: a radius that
+    # skips the 1 for a dropped nonzero bit misses the exact value here
+    polys = [IntPoly([0] * n + [1]) for n in range(1, 12)]
+    polys += [IntPoly([1] + [0] * n + [-2, 1]) for n in range(1, 10)]  # trinomials
+    polys += [IntPoly([0] * n + [-3, 2]) for n in range(1, 10)]  # a zero run down to degree 0
+    polys += [IntPoly([5, 0, 0, 0, 0, -7, 3]), IntPoly([-1, -1, -1, 1])]
+    for p in polys:
+        for x in range((2 << s) + 1):
+            assert _holds(p, x, s), (p.coeffs, x, s)
+
+
+def test_an_exact_point_gets_a_zero_radius():
+    # x 2^-s = 3/2 and the powers of it that _power forms, up to
+    # 3^6 / 2^6, fit the scale 2^-6 exactly, so no shift drops a bit and
+    # the ball is a point
+    p = IntPoly([1, 0, 0, 0, 0, 0, 2])  # 2x^6 + 1
+    assert p._runs == ((2, 6), (1, 0))
+    assert p._enclose(3 << 5, 6) == (2 * 729 + 64, 2 * 729 + 64)
+
+
+def test_runs_cross_long_zero_runs_with_one_power():
+    assert IntPoly([1, 0, -2, 1])._runs == ((1, 1), (-2, 1), (0, 1), (1, 0))
+    assert trinomial_poly(8)._runs == ((1, 1), (-2, 8), (1, 0))
+    assert trinomial_poly(8).derivative()._runs == ((9, 1), (-16, 7), (0, 0))
+    assert trinomial_poly(5)._runs == ((1, 1), (-2, 1)) + ((0, 1),) * 4 + ((1, 0),)
+    assert IntPoly([0, 0, 0, 0, 0, 0, 7])._runs == ((7, 6), (0, 0))
+    assert IntPoly([0, 0, 0, 0, 0, 7])._runs == ((7, 1),) + ((0, 1),) * 4 + ((0, 0),)
+    assert IntPoly([])._runs == ()
+
+
+@given(
+    sparse_polys(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2**40),
+)
+def test_call_is_plain_horner(p, x):
+    assert p(x) == _plain_horner(p.coeffs, x)
 
 
 def test_derivative():
@@ -72,18 +142,25 @@ def test_derivative():
 def test_fibonacci_polys():
     assert fibonacci_poly(2).coeffs == (-1, 1, 1)
     assert fibonacci_poly(3).coeffs == (-1, 1, 1, 1)
-    assert reciprocal_fibonacci_poly(3).coeffs == (-1, -1, -1, 1)
+    assert trinomial_poly(3).coeffs == (1, 0, 0, -2, 1)
     with pytest.raises(ValueError):
         fibonacci_poly(1)
     with pytest.raises(ValueError):
-        reciprocal_fibonacci_poly(0)
+        trinomial_poly(0)
+
+
+@pytest.mark.parametrize("k", [*range(2, 65), 1000])
+def test_trinomial_is_x_minus_1_times_the_dense_poly(k):
+    t = trinomial_poly(k)
+    assert t == IntPoly([-1, 1]) * _phi_poly(k)
+    assert t.coeffs == (1,) + (0,) * (k - 1) + (-2, 1)
 
 
 def test_reciprocal_relation():
     # r is a root of the reciprocal polynomial iff 1/r is a root of g_k
     for k in (2, 3, 4):
         g = fibonacci_poly(k)
-        r = reciprocal_fibonacci_poly(k)
+        r = _phi_poly(k)
         x = Fraction(7, 5)
         assert r(x) == -(x**k) * g(1 / x)
 
