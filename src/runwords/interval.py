@@ -26,9 +26,8 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:  # Fraction(x) copies x
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .interval import Interval
-from .poly import IntPoly, _check_k, _check_n, trinomial_poly
+from .poly import IntPoly, _check_k, _check_n, _power, trinomial_poly
 
 GUARD_DIGITS = 10
 # Bits kept beyond the working precision in every fixed-point evaluation.
@@ -195,16 +195,6 @@ def _mul(x: tuple[int, int], y: tuple[int, int], s: int) -> tuple[int, int]:
     return min(products) >> s, -(-max(products) >> s)
 
 
-def _power(base: tuple[int, int], exponent: int, s: int) -> tuple[int, int]:
-    """Fixed-point enclosure of base ** exponent, by square-and-multiply."""
-    result = (1 << s, 1 << s)
-    for digit in bin(exponent)[2:]:
-        result = _mul(result, result, s)
-        if digit == "1":
-            result = _mul(result, base, s)
-    return result
-
-
 def _limit_ends(k: int, root: Interval) -> list[tuple[int, int]]:
     """L_k = (k phi - 2k + 1) / ((k + 1) phi - 2k) at each end n/d of ``root``,
     as the unreduced ratio (k n - (2k - 1) d, (k + 1) n - 2k d)."""
@@ -248,7 +238,8 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     ``limit_value``'s g', the bits' f = x h g' = g' gives n phi^(n+1) (phi - 1)
     / ((k + 1) phi - 2k) = n phi^(n+1) (1 - L_k), and the 1s' f = x h' = L_k g'
     that times L_k.  One fixed-point pass on phi_k's enclosure of width
-    w < 10^-work, with L_k's exact enclosure rounded outward from its
+    w < 10^-work (phi^(n+1) as ``poly._power``'s ball about its midpoint),
+    with L_k's exact enclosure rounded outward from its
     unreduced ratios (``_limit_ends``), is below 10^-precision_digits in
     relative width, as relative widths add: phi^(n+1) has (n + 1) w, and
     L_k's width is below 16 (k - 1) w
@@ -265,8 +256,10 @@ def asymptotic_coefficient(k: int, target: str, n: int, precision_digits: int = 
     s = _work_bits(work)
     root = phi(k, work)
     limit = _fixed(*_limit_ends(k, root), s)
-    base = _fixed(root.lo.as_integer_ratio(), root.hi.as_integer_ratio(), s)
-    term = _mul(_power(base, n + 1, s), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
+    lo, hi = _fixed(root.lo.as_integer_ratio(), root.hi.as_integer_ratio(), s)
+    mid = lo + hi >> 1
+    m, r = _power(mid, n + 1, s, hi - mid)
+    term = _mul((m - r, m + r), ((1 << s) - limit[1], (1 << s) - limit[0]), s)
     if target == "P":
         term = _mul(term, limit, s)
     return _interval(n * term[0], n * term[1], s)

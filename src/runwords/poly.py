@@ -79,13 +79,13 @@ class IntPoly:
     def _runs(self) -> tuple[tuple[int, int], ...]:
         """Horner's steps (c, gap) from the top: add c, then multiply by x^gap.
 
-        A step ends at each nonzero coefficient and at degree 0, whose step
-        (gap 0) adds the constant term.  A run of zeros is crossed by one
-        power of x where gap >= 6, and otherwise stepped through as zero
-        coefficients (gap 1): x^gap and its product take
-        bit_length(gap) + popcount(gap) - 1 big products against gap steps,
-        so the power saves none below gap 4, one at gap 4 and 5, which does
-        not pay for its call at a few hundred bits, and two or more from 6.
+        A step starts at each nonzero coefficient and at degree 0, and its
+        gap runs down to the next one; the step of degree 0 (gap 0) only
+        adds.  A step of gap g >= 2 takes bit_length(g) + popcount(g) - 1
+        big products for x^g and its product, against g steps of dense
+        Horner, so a gap of 4 or more is one power of x, and a shorter
+        one, where the power saves no product, is stepped through as zero
+        coefficients (gap 1).
         Built at the first evaluation, not in __init__, as most
         polynomials are never evaluated.
         """
@@ -93,12 +93,8 @@ class IntPoly:
         top = len(coeffs) - 1
         for i in range(top - 1, -1, -1):
             if coeffs[i] or not i:
-                gap = top - i
-                if gap > 5:
-                    runs.append((coeffs[top], gap))
-                else:
-                    runs.append((coeffs[top], 1))
-                    runs += [(0, 1)] * (gap - 1)
+                gap = top - i if top - i >= 4 else 1
+                runs += [(coeffs[top], gap)] + [(0, 1)] * (top - i - gap)
                 top = i
         if coeffs:
             runs.append((coeffs[top], 0))
@@ -114,20 +110,15 @@ class IntPoly:
     def _enclose(self, x: int, s: int) -> tuple[int, int]:
         """Integers lo, hi with lo 2^-s <= p(x 2^-s) <= hi 2^-s, for x >= 0.
 
-        Horner on a ball m +- r at the scale 2^-s, over ``_runs``: add c,
-        then multiply by the ball b +- rb of x^gap (x itself, exact, when
-        gap = 1; else ``_power``), rounded by ``_power``'s rule.  The top
-        term's ball is c (b +- rb) exactly; after it, as c b is exact at
-        the scale, the one big product of a step is m b.
+        Horner on a ball m +- r at the scale 2^-s, from 0 +- 0, over
+        ``_runs``: add c, exactly, then multiply by the ball b +- rb of
+        x^gap (x itself, exact, when gap = 1; else ``_power``), rounded by
+        ``_power``'s rule.  As c b is exact at the scale, the one big
+        product of a step is m b.
         """
-        runs = self._runs
-        if not runs:
-            return 0, 0
         mask = (1 << s) - 1
-        c, gap = runs[0]
-        b, rb = (x, 0) if gap == 1 else _power(x, gap, s) if gap else (1 << s, 0)
-        m, r = c * b, abs(c) * rb
-        for c, gap in runs[1:]:
+        m = r = 0
+        for c, gap in self._runs:
             if gap == 1:
                 product = m * x
                 r = (r * x + mask >> s) + (product & mask != 0)
@@ -142,8 +133,9 @@ class IntPoly:
         return m - r, m + r
 
 
-def _power(x: int, n: int, s: int) -> tuple[int, int]:
-    """Ball m +- r at the scale 2^-s that holds X^n, X = x 2^-s >= 0, n >= 1.
+def _power(x: int, n: int, s: int, rx: int = 0) -> tuple[int, int]:
+    """Ball m +- r at the scale 2^-s that holds X^n for every X in the
+    ball (x +- rx) 2^-s, x >= 0, n >= 1.
 
     The product of balls a +- ra and b +- rb (midpoints and radii in units
     of 2^-s, b >= 0) holds every product of their points within
@@ -151,20 +143,22 @@ def _power(x: int, n: int, s: int) -> tuple[int, int]:
     scale is floor(a b 2^-s) +- (ceil(e 2^-s) + d), where d = 1 if the
     shift drops nonzero bits of a b and 0 if it drops none: floor loses
     less than 1 unit, and nothing when exact.  So an exact x stays exact
-    until a shift drops bits.  Square-and-multiply takes squares (b = a,
-    e = ra (2a + ra)) and products with x (rb = 0, e = ra x); the radius
-    grows about in step with X^n's relative rounding, by about log2 n
+    until a shift drops bits.  Square-and-multiply keeps its midpoint
+    a >= 0, a floor of products of nonnegatives, and takes squares (b = a,
+    e = ra (2a + ra)) and products with the base (e = a rx + ra (x + rx)).
+    The radius grows
+    about in step with X^n's relative width, n rx / x, plus about log2 n
     bits over the scale's resolution.
     """
     mask = (1 << s) - 1
-    m, r = x, 0
+    m, r = x, rx
     for bit in bin(n)[3:]:
         square = m * m
         r = ((2 * m + r) * r + mask >> s) + (square & mask != 0)
         m = square >> s
         if bit == "1":
             product = m * x
-            r = (r * x + mask >> s) + (product & mask != 0)
+            r = (m * rx + r * (x + rx) + mask >> s) + (product & mask != 0)
             m = product >> s
     return m, r
 

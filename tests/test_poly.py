@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from runwords.poly import (
     IntPoly,
     _g_squared,
+    _power,
     fibonacci_poly,
     pk_fraction,
     tk_fraction,
@@ -115,14 +116,33 @@ def test_an_exact_point_gets_a_zero_radius():
     assert p._enclose(3 << 5, 6) == (2 * 729 + 64, 2 * 729 + 64)
 
 
-def test_runs_cross_long_zero_runs_with_one_power():
+def test_runs_cross_zero_runs_of_four_or_more_with_one_power():
     assert IntPoly([1, 0, -2, 1])._runs == ((1, 1), (-2, 1), (0, 1), (1, 0))
-    assert trinomial_poly(8)._runs == ((1, 1), (-2, 8), (1, 0))
+    assert IntPoly([5, 3, 2])._runs == ((2, 1), (3, 1), (5, 0))
+    assert trinomial_poly(3)._runs == ((1, 1), (-2, 1), (0, 1), (0, 1), (1, 0))
+    assert trinomial_poly(4)._runs == ((1, 1), (-2, 4), (1, 0))
     assert trinomial_poly(8).derivative()._runs == ((9, 1), (-16, 7), (0, 0))
-    assert trinomial_poly(5)._runs == ((1, 1), (-2, 1)) + ((0, 1),) * 4 + ((1, 0),)
     assert IntPoly([0, 0, 0, 0, 0, 0, 7])._runs == ((7, 6), (0, 0))
-    assert IntPoly([0, 0, 0, 0, 0, 7])._runs == ((7, 1),) + ((0, 1),) * 4 + ((0, 0),)
+    assert IntPoly([0, 0, 7])._runs == ((7, 1), (0, 1), (0, 0))
+    assert IntPoly([3])._runs == ((3, 0),)
     assert IntPoly([])._runs == ()
+
+
+@given(
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**202),
+    st.integers(min_value=0, max_value=2**40),
+    st.fractions(min_value=-1, max_value=1),
+)
+def test_power_ball_holds_every_power_of_the_base_ball(s, n, x, rx, t):
+    # every X in (x +- rx) 2^-s, 0 <= x <= 2^(s+1): both ends and a point between
+    x %= (2 << s) + 1
+    m, r = _power(x, n, s, rx)
+    assert m >= 0 <= r
+    for point in (x - rx, x + rx, x + t * rx):
+        power = (Fraction(point) / (1 << s)) ** n
+        assert Fraction(m - r, 1 << s) <= power <= Fraction(m + r, 1 << s), point
 
 
 @given(
