@@ -85,9 +85,8 @@ class IntPoly:
         big products for x^g and its product, against g steps of dense
         Horner, so a gap of 4 or more is one power of x, and a shorter
         one, where the power saves no product, is stepped through as zero
-        coefficients (gap 1).
-        Built at the first evaluation, not in __init__, as most
-        polynomials are never evaluated.
+        coefficients (gap 1).  Built at the first evaluation, not in
+        __init__, as most polynomials are never evaluated.
         """
         coeffs, runs = self.coeffs, []
         top = len(coeffs) - 1
@@ -146,9 +145,8 @@ def _power(x: int, n: int, s: int, rx: int = 0) -> tuple[int, int]:
     until a shift drops bits.  Square-and-multiply keeps its midpoint
     a >= 0, a floor of products of nonnegatives, and takes squares (b = a,
     e = ra (2a + ra)) and products with the base (e = a rx + ra (x + rx)).
-    The radius grows
-    about in step with X^n's relative width, n rx / x, plus about log2 n
-    bits over the scale's resolution.
+    The radius grows about in step with X^n's relative width, n rx / x,
+    plus about log2 n bits over the scale's resolution.
     """
     mask = (1 << s) - 1
     m, r = x, rx
