@@ -127,7 +127,7 @@ def cmd_alpha_series(args) -> int:
     limit_decimal = render_decimal(
         lambda work: numerics.limit_value(args.k, work), args.digits
     )
-    k = min(args.k, args.n_max + 2)  # the same words of length <= n_max, as in core._run_length
+    k = core._run_length(args.n_max, args.k)
     ones = series.expand(*poly.pk_fraction(k), args.n_max)
     words = series.expand(*poly.words_fraction(k), args.n_max)
     rows = []

@@ -18,12 +18,12 @@ evaluated in one fixed-point pass on both enclosures, so mantissa sizes
 stay proportional to the digits asked for.
 The complex roots are certified too: closed-form float estimates (phi_k's
 and the fixed points of a contraction), one integer fixed-point Newton
-polish of each root on or above the real axis, evaluated exactly through
-the trinomial (x - 1) p, the rest as their conjugates, then a Newton
-inclusion disk of radius k |p/p'| about each polished double, computed
-exactly in Gaussian integers; the k disks each hold a root and are
-checked pairwise disjoint, so each holds exactly one.  No step uses
-mpmath.
+polish of each root on or above the real axis, the rest as their
+conjugates, then a Newton inclusion disk of radius k |p/p'| about each
+polished double; p and p' are read exactly off the trinomial (x - 1) p
+in Gaussian integer products alone, both times (z - 1)^2, which cancels
+in p/p'.  The k disks each hold a root and are checked pairwise
+disjoint, so each holds exactly one.  No step uses mpmath.
 """
 
 from __future__ import annotations
@@ -327,35 +327,31 @@ def _gaussian_power(x: int, y: int, n: int) -> tuple[int, int]:
 
 
 def _trinomial(k: int, x: int, y: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """2^(s k) p(z) and 2^(s (k-1)) p'(z) at z = (x + iy) 2^-s != 1, exactly,
-    as Gaussian integers P and P'.
+    """C^2 P and C^2 P' at z = (x + iy) 2^-s, exactly, as Gaussian integers:
+    P = 2^(s k) p(z), P' = 2^(s (k-1)) p'(z), C = 2^s (z - 1).
 
-    They come from T = x^(k+1) - 2x^k + 1 = (x - 1) p in O(log k) products:
-    with Z = x + iy and u = 2^s, N = 2^(s(k+1)) T(z) = Z^(k+1) - 2u Z^k +
-    u^(k+1) and D = 2^(sk) T'(z) = (k+1) Z^k - 2k u Z^(k-1), and N = (Z - u) P
-    and D = P + (Z - u) P' divide exactly.  z = 1 is never reached: it is
-    no root (p(1) = 1 - k), nor a root estimate or polished root.
+    They come from T = x^(k+1) - 2x^k + 1 = (x - 1) p in O(log k) products,
+    with no division: with Z = x + iy and u = 2^s, N = 2^(s(k+1)) T(z) =
+    Z^(k+1) - 2u Z^k + u^(k+1) = C P and D = 2^(sk) T'(z) = (k+1) Z^k -
+    2k u Z^(k-1) = P + C P', so N C = C^2 P and D C - N = C^2 P'.  The
+    common factor C^2 cancels in p/p'; at z = 1 both are 0.
     """
-    u = 1 << s
     ar, ai = _gaussian_power(x, y, k - 1)
     br, bi = ar * x - ai * y, ar * y + ai * x  # Z^k
     nr = br * x - bi * y - (br << s + 1) + (1 << s * (k + 1))
     ni = br * y + bi * x - (bi << s + 1)
     dr, di = (k + 1) * br - 2 * k * (ar << s), (k + 1) * bi - 2 * k * (ai << s)
-    c = x - u
-    norm = c * c + y * y
-    pr, pi = (nr * c + ni * y) // norm, (ni * c - nr * y) // norm
-    er, ei = dr - pr, di - pi
-    return (pr, pi), ((er * c + ei * y) // norm, (ei * c - er * y) // norm)
+    c = x - (1 << s)
+    return (nr * c - ni * y, nr * y + ni * c), (dr * c - di * y - nr, dr * y + di * c - ni)
 
 
 def _polish(k: int, z: complex) -> complex:
     """One Newton step on p from z, rounded to the nearest double.
 
-    The value and slope at the double z are exact Gaussian integers
-    (``_trinomial``) and the quotient is truncated at 2^-POLISH_BITS, so
-    the step lands far closer to the root than a double can resolve.  An
-    estimate on the real axis stays on it, as p is real.
+    The value and slope at the double z are exact Gaussian integers, both
+    times C^2 (``_trinomial``), which cancels in the quotient; truncated at
+    2^-POLISH_BITS, the step lands far closer to the root than a double can
+    resolve.  An estimate on the real axis stays on it, as p is real.
     """
     (x, y), s = _dyadic([z.real, z.imag])
     (pr, pi), (dr, di) = _trinomial(k, x, y, s)
@@ -383,7 +379,8 @@ def _radius(k: int, z: complex) -> float:
 
     As p'/p = sum 1/(z - z_i) over the k roots, if each were farther than
     R from z then |p'/p| < k/R.  z is a double, so the quotient is exact
-    in Gaussian integers (``_trinomial``) at z's own scale.
+    in Gaussian integers (``_trinomial``) at z's own scale, top and bottom
+    both times |C|^4.  At z = 1, where C = 0, the slope reads 0 and is refused.
     """
     (x, y), s = _dyadic([z.real, z.imag])
     (pr, pi), (dr, di) = _trinomial(k, x, y, s)

@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -7,7 +9,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from runwords import core, numerics
@@ -81,6 +83,28 @@ def _gaussian(poly: IntPoly, x: int, y: int, s: int) -> tuple[int, int]:
         re, im = re * x - im * y + (c << shift), re * y + im * x
         shift += s
     return re, im
+
+
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The Gaussian product of a and b."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _least_double_at_or_above_sqrt(x: Fraction) -> float:
+    """The least double r with r^2 >= x >= 0, by bisection on the bit
+    patterns of the doubles from 0.0 up to inf, which order them."""
+    lo, hi = 0, 0x7FF0000000000000
+
+    def double(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if Fraction(double(mid)) ** 2 >= x:
+            hi = mid
+        else:
+            lo = mid + 1
+    return double(lo)
 
 
 def _tol_bits(digits: int) -> int:
@@ -613,6 +637,24 @@ class TestAllRoots:
                 radius = Fraction(r) ** 2
                 assert exact <= radius <= exact * (1 + Fraction(1, 2**50))
 
+    @settings(derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**2000),
+        st.integers(min_value=1, max_value=2**2300),
+        st.integers(min_value=1, max_value=2**80),
+    )
+    @example(0, 1, 1)
+    @example(4, 1, 3)  # r^2 = 4 exactly
+    @example(4 * 2**200 + 1, 2**200, 1)  # just above 2^2, so r = 2 + 2^-51
+    @example(1, 2**2200, 1)  # below the least subnormal
+    def test_round_up_is_the_least_double_or_the_next(self, num, den, m):
+        # also with num and den scaled by one square, as _radius scales them
+        exact = Fraction(num, den)
+        least = _least_double_at_or_above_sqrt(exact)
+        for r in (numerics._round_up(num, den), numerics._round_up(num * m * m, den * m * m)):
+            assert Fraction(r) ** 2 >= exact
+            assert r in (least, math.nextafter(least, math.inf))
+
     @settings(derandomize=True, deadline=None)
     @given(
         st.integers(min_value=2, max_value=12),
@@ -621,8 +663,8 @@ class TestAllRoots:
     )
     def test_some_root_lies_within_the_radius(self, k, x, y):
         z = complex(x, y)
-        # _trinomial excludes z = 1, and p_2'(1/2) = 0 is the one other
-        # dyadic zero of p' for k <= 12
+        # _radius refuses z = 1, where _trinomial's slope is 0, and
+        # p_2'(1/2) = 0 is the one dyadic zero of p' for k <= 12
         assume(abs(z) <= 3 and z != 1 and (k, z) != (2, 0.5))
         r = Fraction(numerics._radius(k, z)) ** 2
         x, y = Fraction(x), Fraction(y)
@@ -632,6 +674,10 @@ class TestAllRoots:
         # p_2' = 2x - 1 vanishes at the double 0.5
         with pytest.raises(numerics.RootFindingError, match="vanishes"):
             numerics._radius(2, 0.5)
+        # at z = 1 the common factor (z - 1)^2 zeroes the slope read
+        for k in (2, 3, 64):
+            with pytest.raises(numerics.RootFindingError, match="vanishes"):
+                numerics._radius(k, 1.0)
 
     def test_real_roots_lie_on_the_axis(self):
         # phi_k, and for even k one negative root (Descartes' rule of signs)
@@ -704,6 +750,7 @@ class TestAllRoots:
             numerics._estimates(k)
             assert len(steps) == k // 2 and max(steps) < 64
 
+    @settings(derandomize=True)
     @given(
         st.integers(min_value=2, max_value=numerics.MAX_ROOTS_K),
         st.integers(min_value=-(2**62), max_value=2**62),
@@ -711,10 +758,23 @@ class TestAllRoots:
         st.integers(min_value=0, max_value=60),
     )
     def test_trinomial_gives_the_horner_value_and_slope(self, k, x, y, s):
-        assume((x, y) != (1 << s, 0))  # z = 1
+        # both times C^2, C = 2^s (z - 1), so z = 1 gives 0 and 0
+        c = x - (1 << s), y
+        c2 = _times(c, c)
         poly = _phi_poly(k)
-        expected = _gaussian(poly, x, y, s), _gaussian(poly.derivative(), x, y, s)
-        assert numerics._trinomial(k, x, y, s) == expected
+        expected = [_times(c2, _gaussian(q, x, y, s)) for q in (poly, poly.derivative())]
+        assert list(numerics._trinomial(k, x, y, s)) == expected
+
+    def test_every_double_is_pinned(self):
+        # sha256 of every root and radius, as float.hex, for k = 2..64, as
+        # computed at commit 0f3ac15, where _trinomial divided by z - 1
+        lines = []
+        for k in range(2, numerics.MAX_ROOTS_K + 1):
+            roots = numerics.all_roots(k)
+            for z, r in zip(roots.roots, roots.error_radii):
+                lines.append(f"{k} {z.real.hex()} {z.imag.hex()} {r.hex()}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "dfae688e24fddba03fd0176aba26b919ccdc229ba8d3838d7b3a8fc79a362927"
 
     def test_dominant_root_matches_bisection(self):
         for k in range(2, 11):
