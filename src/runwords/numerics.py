@@ -380,8 +380,13 @@ def _radius(k: int, z: complex) -> float:
     As p'/p = sum 1/(z - z_i) over the k roots, if each were farther than
     R from z then |p'/p| < k/R.  z is a double, so the quotient is exact
     in Gaussian integers (``_trinomial``) at z's own scale, top and bottom
-    both times |C|^4.  At z = 1, where C = 0, the slope reads 0 and is refused.
+    both times |C|^4.  z = 1, the root of T's factor z - 1, is refused on
+    its own: there C = 0, and both reads are 0 whatever p'(1) is.
     """
+    if z == 1:
+        raise RootFindingError(
+            f"root disks for k={k} not certified: z = 1 is the root of the trinomial's factor z - 1"
+        )
     (x, y), s = _dyadic([z.real, z.imag])
     (pr, pi), (dr, di) = _trinomial(k, x, y, s)
     norm = dr * dr + di * di

@@ -14,7 +14,7 @@ fixed-point powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import sub
 
@@ -171,6 +171,14 @@ def _h(k: int) -> IntPoly:
     return IntPoly([1] * k)
 
 
+# Each k's generating functions are built once and shared, as IntPoly is frozen.
+# The bound keeps a long-lived process that sweeps k from growing without limit.
+CACHED_KS = 32
+# typed=True keys 2.0 and True apart from 2, so they still reach _check_k.
+_built_once = lru_cache(maxsize=CACHED_KS, typed=True)
+
+
+@_built_once
 def fibonacci_poly(k: int) -> IntPoly:
     """g_k = x h_k - 1 = x^k + ... + x - 1; its smallest-modulus root is 1/phi_k."""
     return _x_power(1) * _h(k) - _x_power(0)
@@ -187,6 +195,7 @@ def trinomial_poly(k: int) -> IntPoly:
     return IntPoly(map(sub, [0] + p, p + [0]))  # x p - p
 
 
+@_built_once
 def words_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     """Generating function of the word counts, -h_k / g_k.
 
@@ -208,6 +217,7 @@ def _g_squared(k: int) -> IntPoly:
     return _x_power(1) * _times_h(g, k) - g
 
 
+@_built_once
 def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     """Generating function of the total 1s count, x h_k' / g_k^2.
 
@@ -217,6 +227,7 @@ def pk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     return _x_power(1) * _h(k).derivative(), _g_squared(k)
 
 
+@_built_once
 def tk_fraction(k: int) -> tuple[IntPoly, IntPoly]:
     """Generating function of the total bit count (n times the word count).
 

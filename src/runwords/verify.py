@@ -284,23 +284,59 @@ def check_corollary() -> CheckResult:
 MAX_DIGITS = 30
 
 
-def _mpmath_references(k: int) -> dict[str, Fraction]:
-    """phi_k, 1/phi_k and the limit, from mpmath alone at 2*MAX_DIGITS + 10 digits.
+def _float_newton(coeffs: list[int], x: float) -> float:
+    """Plain-float Newton on the polynomial with these coefficients (highest
+    degree first), from a start x above its root where it rises and is
+    convex, so each step falls toward the root until rounding stops it."""
+    for _ in range(100):
+        value = slope = 0.0
+        for c in coeffs:
+            slope = slope * x + value
+            value = value * x + c
+        below = x - value / slope
+        if not below < x:
+            break
+        x = below
+    return x
 
-    The roots come from ``mpmath.findroot`` on the defining polynomials
-    written out here and evaluated by ``mpmath.polyval`` (Horner's rule),
-    and the limit from its closed form at x = 1/phi_k, so nothing is
-    shared with the production path.
+
+def _referee_root(coeffs: list[int], lo: int, hi: int):
+    """The root in (lo, hi) of ``mpmath.polyval(coeffs, z)``, at mpmath's working precision.
+
+    Seeded by ``_float_newton`` from hi; raises RuntimeError if ``findroot``
+    does not converge or lands outside.
     """
     import mpmath  # the independent referee, loaded only by the checks that use it
 
+    seed = _float_newton(coeffs, float(hi))
+    try:
+        root = mpmath.findroot(
+            lambda z: mpmath.polyval(coeffs, z), (seed, math.nextafter(seed, math.inf)),
+            solver="secant", verify=True,
+        )
+    except ValueError as exc:
+        raise RuntimeError(f"mpmath referee: no root of {coeffs} found near {seed}") from exc
+    if not lo < root < hi:
+        raise RuntimeError(f"mpmath referee: root {root} of {coeffs} outside ({lo}, {hi})")
+    return root
+
+
+def _mpmath_references(k: int) -> dict[str, Fraction]:
+    """phi_k, 1/phi_k and the limit, from mpmath alone at 2*MAX_DIGITS + 10 digits.
+
+    The roots are those of the defining polynomials written out here and
+    evaluated by ``mpmath.polyval`` (Horner's rule): each is seeded by
+    plain-float Newton on the same coefficient list from the bracket's top
+    end, then taken by ``mpmath.findroot``'s secant from the seed and the
+    next double above it, and accepted only inside (1, 2) for phi_k and
+    (0, 1) for 1/phi_k, else RuntimeError.  The limit is its closed form at
+    x = 1/phi_k, so nothing is shared with the production path.
+    """
+    import mpmath
+
     with mpmath.workdps(2 * MAX_DIGITS + 10):
-        phi = mpmath.findroot(
-            lambda z: mpmath.polyval([1] + [-1] * k, z), (1, 2), solver="anderson"
-        )
-        x = mpmath.findroot(
-            lambda z: mpmath.polyval([1] * k + [-1], z), (0, 1), solver="anderson"
-        )
+        phi = _referee_root([1] + [-1] * k, 1, 2)
+        x = _referee_root([1] * k + [-1], 0, 1)
         limit = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
             k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
         )

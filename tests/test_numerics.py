@@ -672,11 +672,14 @@ class TestAllRoots:
 
     def test_a_vanishing_slope_is_refused(self):
         # p_2' = 2x - 1 vanishes at the double 0.5
-        with pytest.raises(numerics.RootFindingError, match="vanishes"):
+        with pytest.raises(numerics.RootFindingError, match="p' vanishes at"):
             numerics._radius(2, 0.5)
-        # at z = 1 the common factor (z - 1)^2 zeroes the slope read
+
+    def test_the_root_of_the_trinomials_factor_is_refused(self):
+        # at z = 1 the common factor (z - 1)^2 zeroes both reads, though
+        # p'(1) = k - k(k-1)/2 is 0 only at k = 3
         for k in (2, 3, 64):
-            with pytest.raises(numerics.RootFindingError, match="vanishes"):
+            with pytest.raises(numerics.RootFindingError, match="trinomial's factor z - 1"):
                 numerics._radius(k, 1.0)
 
     def test_real_roots_lie_on_the_axis(self):

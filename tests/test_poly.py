@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from runwords.poly import (
+    CACHED_KS,
     IntPoly,
     _g_squared,
     _power,
@@ -211,6 +212,31 @@ def test_tk_numerator_is_the_schoolbook_derivative(k):
     # x (p' q - p q') for the word counts p/q, by schoolbook products
     p, q = words_fraction(k)
     assert tk_fraction(k)[0] == IntPoly([0, 1]) * (p.derivative() * q - p * q.derivative())
+
+
+CACHED_BUILDERS = [fibonacci_poly, words_fraction, pk_fraction, tk_fraction]
+
+
+@pytest.mark.parametrize("builder", CACHED_BUILDERS, ids=lambda f: f.__name__)
+def test_a_cached_builder_returns_one_shared_fresh_build(builder):
+    for k in range(2, 41):
+        first = builder(k)
+        assert first == builder.__wrapped__(k)
+        assert builder(k) is first
+
+
+@pytest.mark.parametrize("builder", CACHED_BUILDERS, ids=lambda f: f.__name__)
+def test_the_cache_keys_float_and_bool_apart_from_int(builder):
+    # 2.0 equals 2 and hashes alike, and True is an int; a cached k = 2 answers neither
+    builder(2)
+    for k in (2.0, True):
+        with pytest.raises(ValueError):
+            builder(k)
+
+
+@pytest.mark.parametrize("builder", CACHED_BUILDERS, ids=lambda f: f.__name__)
+def test_the_cache_is_bounded(builder):
+    assert builder.cache_info().maxsize == CACHED_KS == 32
 
 
 def test_tk_fraction():

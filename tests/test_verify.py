@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from runwords import numerics, verify
+from runwords import cli, numerics, verify
 from runwords.interval import Interval
 
 
@@ -51,6 +51,46 @@ def test_referee_is_as_precise_as_the_largest_trial_needs(k):
     for name, value in (("phi", phi), ("inverse_phi", x), ("limit_value", limit)):
         mantissa, exponent = value.man_exp
         assert abs(references[name] - mantissa * Fraction(2) ** exponent) < slack, name
+
+
+def _anderson_references(k):
+    """The referee as it was: findroot's Anderson solver on the whole bracket."""
+    with mpmath.workdps(2 * verify.MAX_DIGITS + 10):
+        phi = mpmath.findroot(
+            lambda z: mpmath.polyval([1] + [-1] * k, z), (1, 2), solver="anderson"
+        )
+        x = mpmath.findroot(
+            lambda z: mpmath.polyval([1] * k + [-1], z), (0, 1), solver="anderson"
+        )
+        limit = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
+            k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
+        )
+    return {"phi": phi, "inverse_phi": x, "limit_value": limit}
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_the_seeded_referee_agrees_with_anderson_on_the_bracket(k):
+    references = verify._mpmath_references(k)
+    slack = Fraction(1, 10 ** (2 * verify.MAX_DIGITS + 5))
+    for name, value in _anderson_references(k).items():
+        mantissa, exponent = value.man_exp
+        assert abs(references[name] - mantissa * Fraction(2) ** exponent) < slack, name
+
+
+def _no_root(*args, **kwargs):
+    raise ValueError("Could not find root within given tolerance.\nTry another starting point.")
+
+
+@pytest.mark.parametrize("findroot", [_no_root, lambda *args, **kwargs: 2.5],
+                         ids=["no-convergence", "outside-the-bracket"])
+def test_a_failed_referee_is_a_one_line_internal_failure(monkeypatch, capsys, findroot):
+    monkeypatch.setattr(mpmath, "findroot", findroot)
+    with pytest.raises(RuntimeError, match="mpmath referee"):
+        verify._mpmath_references(3)
+    assert cli.main(["verify", "full"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: mpmath referee") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
