@@ -6,6 +6,16 @@ of 1s, from its defining fixed-point equation and from its closed form.
 The two bivariate tables cost O(n^2) cell additions up to row n; they
 are the independent references for ``core.ones_distribution``, which
 takes one row along an anti-diagonal of the powers of h_k instead.
+
+Random access halves the denominator Q into V_1, V_2, ... (Bostan-Mori),
+levels that depend on Q alone.  They are built once and kept on the
+frozen Q, extended only when a larger n needs more, and live as long as
+Q does: for ``poly``'s generating functions, as long as its cache of the
+last ``CACHED_KS`` k holds them.  Level j has Q's degree, and its roots
+are the 2^j-th powers of Q's, so the levels for n take about as many
+bits as the n-th coefficient: 89 KiB after ``core.count_words(10**6, 2)``,
+whose answer has 85 KiB.  They are stored as one tuple, replaced whole,
+so threads that race repeat work but never misplace a level.
 """
 
 from __future__ import annotations
@@ -80,20 +90,51 @@ def _half_product(a: tuple[int, ...], q: tuple[int, ...], parity: int) -> IntPol
     return IntPoly(out)
 
 
+def _halvings(denominator: IntPoly, levels: int) -> tuple[IntPoly, ...]:
+    """V_1, ..., V_levels or more, where V_0 = Q and V_(j+1)(x^2) = V_j(x) V_j(-x).
+
+    Kept in the denominator's ``__dict__``, as a cached property would
+    be, and extended from its last level.  A tuple built aside replaces
+    the stored one whole, if it is longer.
+    """
+    chain = denominator.__dict__.get("_halvings", ())
+    if len(chain) < levels:
+        grown, v = list(chain), (chain[-1] if chain else denominator)
+        while len(grown) < levels:
+            v = _half_product(v.coeffs, v.coeffs, 0)
+            grown.append(v)
+        chain = tuple(grown)
+        if levels > len(denominator.__dict__.get("_halvings", ())):
+            denominator.__dict__["_halvings"] = chain
+    return chain
+
+
 def coefficient(numerator: IntPoly, denominator: IntPoly, n: int) -> int:
     """Coefficient of x^n in numerator/denominator, in O(log n) polynomial products.
 
     Bostan-Mori halving (SOSA 2021): with Q(x)Q(-x) = V(x^2) and
     P(x)Q(-x) = U_0(x^2) + x U_1(x^2), [x^n] P/Q = [x^(n//2)] U_(n%2)/V.
-    Each halving forms only the halves it keeps, U_(n%2) and V.  Once
-    n <= deg Q the last terms come from ``expand``.  Same contract as
-    ``expand``: the constant term of the denominator must be +1 or -1.
+    V keeps Q's degree, as its top coefficient is +-q_d^2, so the number
+    of halvings depends only on n and deg Q.  Once n <= deg Q the last
+    terms come from ``expand``.  Same contract as ``expand``: the
+    constant term of the denominator must be +1 or -1.
+
+    The denominators V_1, V_2, ... depend on Q alone.  They are built
+    once, kept on the frozen Q and extended only when a larger n needs
+    more levels, so a call forms only the numerator halves U_(n%2).  They
+    live as long as Q, and take about as many bits as the n-th
+    coefficient (89 KiB for the 85 KiB of ``core.count_words(10**6, 2)``).
+    Threads that race on one Q may build the same levels twice and store
+    the shorter tuple last, but every tuple stored is a true prefix of
+    the chain, so no level lands in the wrong place.
     """
     _unit_constant_term(denominator)
+    # halvings while n > deg Q: the least j with n < (deg Q + 1) 2^j
+    levels = (max(n, 0) // (denominator.degree + 1)).bit_length()
     p, q = numerator, denominator
-    while n > q.degree:
+    for v in _halvings(denominator, levels)[:levels]:
         p = _half_product(p.coeffs, q.coeffs, n % 2)
-        q = _half_product(q.coeffs, q.coeffs, 0)
+        q = v
         n //= 2
     return expand(p, q, n)[n]
 

@@ -236,6 +236,19 @@ def test_roots_output_is_byte_identical(capsys, k, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, trailing newline included: 3176 digits, both sides
+# of the identity read from g_3's one stored chain of halvings.  The
+# no-mpmath CI job checks the same digest.
+COUNT_K3_N12000_SHA256 = "cb9793650f6f897fbe1facb0ec008b5de8c4e5631f56d65d823d703b394cb060"
+
+
+def test_count_output_is_byte_identical(capsys):
+    code, out, _ = run(capsys, "count", "--k", "3", "--n", "12000")
+    assert code == 0
+    assert "[identity ok]" in out and len(out.split()[2]) == 3176
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNT_K3_N12000_SHA256
+
+
 def test_phi(capsys):
     code, out, _ = run(capsys, "phi", "--k", "2", "--digits", "15")
     assert "1.618033988749895" in out

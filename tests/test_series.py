@@ -1,5 +1,11 @@
+import gc
+import random
+import sys
+import threading
+import weakref
+
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runwords import core
@@ -123,6 +129,112 @@ class TestCoefficient:
             with pytest.raises(ValueError) as expand_refused:
                 expand(IntPoly([1]), denominator, 50)
             assert str(refused.value) == str(expand_refused.value)
+
+
+def _halvings_needed(q, n):
+    """How many halvings ``coefficient`` takes at n: it halves while n > deg Q."""
+    levels = 0
+    while n > q.degree:
+        n //= 2
+        levels += 1
+    return levels
+
+
+def _chain_by_products(q, levels):
+    """V_1, V_2, ...: the even coefficients of V(x) V(-x), from IntPoly's product."""
+    chain = []
+    for _ in range(levels):
+        q = IntPoly((q * IntPoly((-c if i % 2 else c) for i, c in enumerate(q.coeffs))).coeffs[::2])
+        chain.append(q)
+    return tuple(chain)
+
+
+def _stored(q):
+    return q.__dict__.get("_halvings", ())
+
+
+class TestStoredHalvings:
+    """The denominators V_j are built once per denominator and kept on it."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        numerator=st.lists(small_ints, max_size=16),
+        constant=st.sampled_from((1, -1)),
+        tail=st.lists(sparse_ints, max_size=8),
+        offsets=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=4),
+        rng=st.randoms(use_true_random=False),
+    )
+    @example(numerator=[1], constant=1, tail=[], offsets=[0], rng=random.Random(1))
+    @example(numerator=[0, 3, -1], constant=-1, tail=[0, 0, 2], offsets=[7], rng=random.Random(2))
+    def test_every_order_of_queries_matches_expand(self, numerator, constant, tail, offsets, rng):
+        # one fresh denominator for all the queries, asked in shuffled order:
+        # below deg Q, on each side of every level-count boundary (d+1) 2^j,
+        # and far past the levels that the earlier queries built
+        p, q = IntPoly(numerator), IntPoly([constant] + tail)
+        width = q.degree + 1
+        ns = list(range(width)) + [width * 2**j + e for j in range(7) for e in (-1, 0)]
+        ns += [width * 2**9 + o for o in offsets]
+        rng.shuffle(ns)
+        s = expand(p, q, max(ns))
+        for n in ns:
+            assert coefficient(p, q, n) == s[n], (q, n)
+
+    @pytest.mark.parametrize("q", ODD_AND_EVEN_DENOMINATORS + [IntPoly([-1])])
+    def test_the_stored_levels_are_the_ones_the_largest_n_needed(self, q):
+        q = IntPoly(q.coeffs)  # fresh: the cached g_3 may hold levels already
+        reference = _chain_by_products(q, 12)
+        p, largest = IntPoly([1, 2]), 0
+        for n in (0, q.degree, 40, 7, q.degree + 1, 300, 41, 299, 2000, 5):
+            coefficient(p, q, n)
+            largest = max(largest, n)
+            assert _stored(q) == reference[: _halvings_needed(q, largest)], (q, n)
+
+    def test_a_denominator_dies_with_its_last_reference(self):
+        # the levels hold no reference back to their denominator, so plain
+        # reference counting frees it, with the cycle collector switched off
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            q = IntPoly([1, -1, -1, -1])
+            coefficient(IntPoly([1]), q, 5000)
+            assert _stored(q)
+            dead = weakref.ref(q)
+            del q
+            assert dead() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_four_threads_on_one_fresh_denominator(self):
+        # Racing threads may each build the levels they need and store them;
+        # every stored tuple must be a true prefix of the chain, and every
+        # answer right.  A short switch interval makes the threads interleave.
+        p, ns = IntPoly([3, -1, 2]), (90, 1500, 400, 6000)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                q = IntPoly([1, -1, 0, -2])
+                expected = expand(p, q, max(ns))
+                got, start = {}, threading.Barrier(len(ns))
+
+                def query(n, q=q, start=start, got=got):
+                    start.wait(timeout=30)
+                    got[n] = coefficient(p, q, n)
+
+                threads = [threading.Thread(target=query, args=(n,)) for n in ns]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == {n: expected[n] for n in ns}
+                reference = _chain_by_products(q, _halvings_needed(q, max(ns)))
+                assert _stored(q) and _stored(q) == reference[: len(_stored(q))]
+                coefficient(p, q, max(ns))
+                assert _stored(q) == reference
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestBivariate:
