@@ -60,15 +60,16 @@ def kstep_fibonacci(n: int, k: int) -> int:
 
     Zero for n <= k-2, one at n = k-1, afterwards the sum of the
     previous k terms: [x^n] -x^(k-1)/g_k, that is [x^i] -1/g_k with
-    i = n - k + 1.  Terms of g_k above x^i cannot change that coefficient,
-    so g is cut to degree min(k, max(i, 2)).
+    i = n - k + 1.  That coefficient reads only the terms of g_k up to x^i,
+    which every g_j with j >= i shares, so g is cut to g_j with
+    j = ``_run_length(i, k)`` = min(k, i + 2), as the other counts cut it.
     """
     _check_n(n)
     _check_k(k)
     i = n - k + 1
     if i < 0:
         return 0
-    return coefficient(IntPoly([-1]), fibonacci_poly(min(k, max(i, 2))), i)
+    return coefficient(IntPoly([-1]), fibonacci_poly(_run_length(i, k)), i)
 
 
 def count_words(n: int, k: int) -> int:

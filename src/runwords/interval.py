@@ -51,9 +51,6 @@ class Interval:
         a, b = Fraction(other) / self.lo, Fraction(other) / self.hi
         return Interval(min(a, b), max(a, b))
 
-    def __str__(self) -> str:
-        return f"[{float(self.lo)}, {float(self.hi)}]"
-
 
 def round_fraction(x: Fraction | int, digits: int) -> str:
     """Decimal string of a rational x with exactly `digits` places, round-half-even.

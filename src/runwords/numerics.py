@@ -191,8 +191,10 @@ def _interval(lo: int, hi: int, s: int) -> Interval:
 
 
 def _mul(x: tuple[int, int], y: tuple[int, int], s: int) -> tuple[int, int]:
-    products = [a * b for a in x for b in y]
-    return min(products) >> s, -(-max(products) >> s)
+    """x y rounded outward, for ends >= 0, where the lower ends' product is the least
+    of the four and the upper ends' the greatest.  Both of ``asymptotic_coefficient``'s
+    uses are such: phi^(n+1) >= 1, 1 - L_k > 1/2 and L_k > 1/4."""
+    return x[0] * y[0] >> s, -(-x[1] * y[1] >> s)
 
 
 def _limit_ends(k: int, root: Interval) -> list[tuple[int, int]]:

@@ -95,6 +95,7 @@ def test_run_lengths_beyond_the_word_count_every_word(n):
         if k < 2:
             continue
         assert core.count_words(n, k) == 2**n
+        assert core.kstep_fibonacci(n + k, k) == 2**n
         assert core.popularity(n, k) == n * 2**n // 2
         if n:
             assert core.alpha(n, k) == Fraction(1, 2)

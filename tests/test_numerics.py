@@ -369,8 +369,9 @@ class TestBisectRoot:
         assert numerics._sign(poly, m, e, e + extra) == (value > 0) - (value < 0)
 
 
+# _mul's contract: enclosures whose ends are all >= 0, as at its every use
 endpoint_pairs = st.lists(
-    st.integers(min_value=-(2**70), max_value=2**70), min_size=2, max_size=2
+    st.integers(min_value=0, max_value=2**70), min_size=2, max_size=2
 ).map(sorted)
 
 
@@ -383,9 +384,16 @@ class TestFixedPoint:
         points = [Fraction(a, 1 << s) for a in x], [Fraction(b, 1 << s) for b in y]
         product = numerics._mul(x, y, s)
         assert all(contains(product, a * b) for a in points[0] for b in points[1])
-        if x[1] >= 0:
-            m, r = _power(x[1], 5, s)
-            assert contains((m - r, m + r), points[0][1] ** 5)
+        m, r = _power(x[1], 5, s)
+        assert contains((m - r, m + r), points[0][1] ** 5)
+
+    @settings(derandomize=True)
+    @given(st.integers(min_value=0, max_value=100), endpoint_pairs, endpoint_pairs)
+    @example(3, [0, 0], [0, 5])
+    @example(1, [1, 1], [7, 9])
+    def test_product_is_the_least_and_greatest_of_the_four(self, s, x, y):
+        products = [a * b for a in x for b in y]
+        assert numerics._mul(x, y, s) == (min(products) >> s, -(-max(products) >> s))
 
 
 class TestReferee:

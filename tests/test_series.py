@@ -130,6 +130,11 @@ class TestCoefficient:
                 expand(IntPoly([1]), denominator, 50)
             assert str(refused.value) == str(expand_refused.value)
 
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_refuses_a_negative_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 0, got {n}$"):
+            coefficient(IntPoly([1]), IntPoly([1, -1]), n)
+
 
 def _halvings_needed(q, n):
     """How many halvings ``coefficient`` takes at n: it halves while n > deg Q."""
@@ -150,7 +155,12 @@ def _chain_by_products(q, levels):
 
 
 def _stored(q):
-    return q.__dict__.get("_halvings", ())
+    """The halvings kept so far, V_1 on Q, V_2 on V_1, ...: the links ``_halved`` stores."""
+    chain = []
+    while "_halved" in q.__dict__:
+        q = q.__dict__["_halved"]
+        chain.append(q)
+    return tuple(chain)
 
 
 class TestStoredHalvings:
@@ -206,9 +216,10 @@ class TestStoredHalvings:
                 gc.enable()
 
     def test_four_threads_on_one_fresh_denominator(self):
-        # Racing threads may each build the levels they need and store them;
-        # every stored tuple must be a true prefix of the chain, and every
-        # answer right.  A short switch interval makes the threads interleave.
+        # Racing threads may each build the levels they need and store them,
+        # one thread's V_1 replacing another's; every stored link must still
+        # be the halving of the polynomial it is kept on, and every answer
+        # right.  A short switch interval makes the threads interleave.
         p, ns = IntPoly([3, -1, 2]), (90, 1500, 400, 6000)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -229,8 +240,11 @@ class TestStoredHalvings:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
                 assert got == {n: expected[n] for n in ns}
+                stored = _stored(q)
+                assert stored
+                for before, v in zip((q,) + stored, stored):
+                    assert (v,) == _chain_by_products(before, 1)
                 reference = _chain_by_products(q, _halvings_needed(q, max(ns)))
-                assert _stored(q) and _stored(q) == reference[: len(_stored(q))]
                 coefficient(p, q, max(ns))
                 assert _stored(q) == reference
         finally:
