@@ -4,12 +4,14 @@ Every command is deterministic and supports --format plain|csv|json.
 Exit codes: 0 success, 1 verification failure (a failed ``verify`` check,
 or a failed identity check of ``count``), 2 usage error, 3 internal
 failure (no certified result after refinement, root estimates that are
-not conjugate pairs, root disks that could not be certified, ``verify full``
-without mpmath, its independent referee, running out of memory, a size
-beyond the machine's index range, as for ``dist``'s list of n - n // k + 1
-counts at k = n = 10^20, or ``phi`` with --digits 0 for k above about
-13600, where phi_k's enclosure ends at 2 and the digit of 1/phi_k stays a
-tie).
+not conjugate pairs, root disks that could not be certified, a root of
+``verify full``'s integer referee without its sign certificate, running
+out of memory, a failed write to stdout (a reader that leaves early,
+which ends the command silently, or a full disk, which prints one
+``error:`` line), a size beyond the machine's index range, as for
+``dist``'s list of n - n // k + 1 counts at k = n = 10^20, or ``phi``
+with --digits 0 for k above about 13600, where phi_k's enclosure ends at
+2 and the digit of 1/phi_k stays a tie).
 
 ``main`` builds its parser once per process and dispatches by command
 name at call time: ``args.command`` selects the module's ``cmd_<command>``.
@@ -21,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from decimal import ROUND_CEILING, Decimal
@@ -64,7 +67,7 @@ def _emit(args, plain: Callable[[], str], rows: list[dict], json_doc) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
-        print(text)
+        print(text, flush=True)  # a failed write is raised here, not at exit
 
 
 def cmd_count(args) -> int:
@@ -302,11 +305,18 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ImportError) as exc:  # RootFindingError; mpmath missing
+    except RuntimeError as exc:  # RootFindingError; the referee's failed certificate
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:  # its message is empty
         print("error: out of memory", file=sys.stderr)
+        return 3
+    except OSError as exc:  # from _emit's print to stdout; its --out errors are ValueErrors
+        # The Python docs' "Note on SIGPIPE": point stdout at devnull, so that
+        # the flush at exit cannot fail again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return 3
     except OverflowError as exc:  # a list or integer too large to index
         print(f"error: too large to compute: {exc}", file=sys.stderr)

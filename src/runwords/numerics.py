@@ -101,7 +101,7 @@ def bisect_root(poly: IntPoly, t: int, guess: float) -> Interval:
     rungs = [q + 1]
     while rungs[-1] > SEED_BITS // 2:
         rungs.append((rungs[-1] + 1) // 2)
-    slope = poly.derivative()
+    slope = poly._slope
     n, d = guess.as_integer_ratio()
     s = rungs[-2] + GUARD_BITS
     x = (n << s) // d  # the iterate x 2^-s

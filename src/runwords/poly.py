@@ -76,6 +76,11 @@ class IntPoly:
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     @cached_property
+    def _slope(self) -> "IntPoly":
+        """The derivative, kept like ``_runs`` for a polynomial whose roots are sought often."""
+        return self.derivative()
+
+    @cached_property
     def _runs(self) -> tuple[tuple[int, int], ...]:
         """Horner's steps (c, gap) from the top: add c, then multiply by x^gap.
 
@@ -171,9 +176,12 @@ def _h(k: int) -> IntPoly:
     return IntPoly([1] * k)
 
 
-# Each k's generating functions are built once and shared, as IntPoly is frozen.
-# The bound keeps a long-lived process that sweeps k from growing without limit.
-CACHED_KS = 32
+# Each k's generating functions and trinomial are built once and shared, as
+# IntPoly is frozen.
+# The bound keeps a long-lived process that sweeps k from growing without limit,
+# and holds a sweep of k = 2..40 (``limits --k-max 40``, the corollary check),
+# which a bound below 39 would evict k by k before the next sweep reads it.
+CACHED_KS = 64
 # typed=True keys 2.0 and True apart from 2, so they still reach _check_k.
 _built_once = lru_cache(maxsize=CACHED_KS, typed=True)
 
@@ -184,6 +192,7 @@ def fibonacci_poly(k: int) -> IntPoly:
     return _x_power(1) * _h(k) - _x_power(0)
 
 
+@_built_once
 def trinomial_poly(k: int) -> IntPoly:
     """T_k = (x - 1)(x^k - h_k) = x^(k+1) - 2x^k + 1.
 

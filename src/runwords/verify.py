@@ -279,9 +279,12 @@ def check_corollary() -> CheckResult:
     return _check("corollary", True, f"k=2..{k_max} strictly rising below 1/2")
 
 
-# The largest precision an enclosure_soundness trial draws; the referee
-# works at 2 * MAX_DIGITS + 10 digits, enough for every trial.
+# The largest precision an enclosure_soundness trial draws.  The referee's
+# intervals for phi_k and 1/phi_k are 4 2^-REFEREE_BITS < 10^-74 wide and
+# its limit's below 10^-70, far inside a trial's finest enclosure, whose
+# width is near 10^-(2 * MAX_DIGITS).
 MAX_DIGITS = 30
+REFEREE_BITS = 250
 
 
 def _float_newton(coeffs: list[int], x: float) -> float:
@@ -300,67 +303,112 @@ def _float_newton(coeffs: list[int], x: float) -> float:
     return x
 
 
-def _referee_root(coeffs: list[int], lo: int, hi: int):
-    """The root in (lo, hi) of ``mpmath.polyval(coeffs, z)``, at mpmath's working precision.
+def _scaled(coeffs: list[int], m: int) -> int:
+    """2^(S d) p(m 2^-S), S = REFEREE_BITS, exactly, for the polynomial p of
+    degree d with these coefficients (highest degree first): dense Horner on
+    the integer polynomial in m whose coefficients are coeffs[j] 2^(S j)."""
+    value = 0
+    for j, c in enumerate(coeffs):
+        value = value * m + (c << REFEREE_BITS * j)
+    return value
 
-    Seeded by ``_float_newton`` from hi; raises RuntimeError if ``findroot``
-    does not converge or lands outside.
+
+def _sign_change(coeffs: list[int], a: int, b: int) -> bool:
+    """Whether p < 0 at a 2^-S and p > 0 at b 2^-S, exactly: the referee's certificate."""
+    return _scaled(coeffs, a) < 0 < _scaled(coeffs, b)
+
+
+def _referee_root(coeffs: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Integers a < b with [a, b] 2^-S, S = REFEREE_BITS, about the root in
+    (lo, hi) of the polynomial p with these coefficients (highest degree
+    first), for a p whose one positive root it crosses from below.
+
+    From ``_float_newton``'s seed, taken from hi, four exact Newton steps
+    m -> m - P(m) // P'(m) on the iterate m 2^-S, where P(m) =
+    2^(S d) p(m 2^-S) (``_scaled``) and P'(m) = 2^(S (d-1)) p'(m 2^-S) is its
+    slope in m, carry a double's ~50 bits past S.  Then [a, b] = [m - 2, m + 2]
+    is accepted only inside (lo, hi), with p < 0 at a and p > 0 at b exactly
+    (``_sign_change``); otherwise RuntimeError.  Nothing is shared with
+    ``numerics``.
     """
-    import mpmath  # the independent referee, loaded only by the checks that use it
-
-    seed = _float_newton(coeffs, float(hi))
-    try:
-        root = mpmath.findroot(
-            lambda z: mpmath.polyval(coeffs, z), (seed, math.nextafter(seed, math.inf)),
-            solver="secant", verify=True,
+    d = len(coeffs) - 1
+    slope = [(d - j) * c for j, c in enumerate(coeffs[:-1])]
+    n, den = _float_newton(coeffs, float(hi)).as_integer_ratio()
+    m = (n << REFEREE_BITS) // den
+    for _ in range(4):
+        derivative = _scaled(slope, m)
+        if derivative <= 0:
+            break
+        m -= _scaled(coeffs, m) // derivative
+    a, b = m - 2, m + 2
+    if not (lo << REFEREE_BITS < a and b < hi << REFEREE_BITS and _sign_change(coeffs, a, b)):
+        raise RuntimeError(
+            f"integer referee: no sign certificate for the root of {coeffs} in ({lo}, {hi})"
         )
-    except ValueError as exc:
-        raise RuntimeError(f"mpmath referee: no root of {coeffs} found near {seed}") from exc
-    if not lo < root < hi:
-        raise RuntimeError(f"mpmath referee: root {root} of {coeffs} outside ({lo}, {hi})")
-    return root
+    return a, b
 
 
-def _mpmath_references(k: int) -> dict[str, Fraction]:
-    """phi_k, 1/phi_k and the limit, from mpmath alone at 2*MAX_DIGITS + 10 digits.
+def _references(k: int) -> dict[str, Interval]:
+    """Intervals that hold phi_k, 1/phi_k and the limit L_k, from exact integers alone.
 
-    The roots are those of the defining polynomials written out here and
-    evaluated by ``mpmath.polyval`` (Horner's rule): each is seeded by
-    plain-float Newton on the same coefficient list from the bracket's top
-    end, then taken by ``mpmath.findroot``'s secant from the seed and the
-    next double above it, and accepted only inside (1, 2) for phi_k and
-    (0, 1) for 1/phi_k, else RuntimeError.  The limit is its closed form at
-    x = 1/phi_k, so nothing is shared with the production path.
+    phi_k is the positive root of x^k - h_k and 1/phi_k that of g_k, each
+    one by Descartes' rule (one sign change), and ``_referee_root`` takes
+    them in (1, 2) and (0, 1) from their coefficient lists written out here.
+    The limit is the closed form L = N/D at x = 1/phi_k, with
+    N = (k - 1) x^k - k x^(k-1) + 1 and D = x^(2k) + k x^k - 3x^k - k x^(k-1) + 2,
+    over x's enclosure [a, b] 2^-S, 0 < a < b < 2^S.  Each monomial c x^j
+    rises with x if c > 0 and falls if c < 0, so N and D lie between the
+    sums of their monomials each taken at the end of [a, b] that makes it
+    least (N-, D-) or greatest (N+, D+), all times 2^(2kS), in integers;
+    once N- and D- are > 0, L lies in [N- / D+, N+ / D-], rounded outward
+    at the scale 2^-S.
+
+    They are, and the interval is narrow: at the root x h_k(x) = 1, so
+    y = x^k = 2 - 1/x, N = (1 - k y)(1 - y) and D = (2 - (k + 1) y)(1 - y),
+    and y = 2 - phi_k < 2^(1-k) (``numerics.phi``), so k y < 0.77 (0.764
+    at k = 2, at most k 2^(1-k) <= 3/4 above), N > 0.14 and D > 1/2.  Over
+    [a, b] 2^-S, of width w = 4 2^-S, c x^j moves by at most |c| j w, so
+    [N-, N+] and [D-, D+] are each at most (2k^2 + 4k) w wide.  With
+    L < 1/2, the limit's interval is then at most 3 (2k^2 + 4k) w + 2^(1-S)
+    wide: below 10^-70 for k <= 40.
     """
-    import mpmath
+    a, b = _referee_root([1] * k + [-1], 0, 1)
+    s = REFEREE_BITS
 
-    with mpmath.workdps(2 * MAX_DIGITS + 10):
-        phi = _referee_root([1] + [-1] * k, 1, 2)
-        x = _referee_root([1] * k + [-1], 0, 1)
-        limit = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
-            k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
-        )
-    references = {}
-    for name, value in (("phi", phi), ("inverse_phi", x), ("limit_value", limit)):
-        mantissa, exponent = value.man_exp
-        references[name] = mantissa * Fraction(2) ** exponent
-    return references
+    def powers(e: int) -> tuple[int, int, int]:
+        """x^(k-1), x^k and x^(2k) at x = e 2^-s, times 2^(2ks)."""
+        p = e ** (k - 1)
+        q = p * e
+        return p << s * (k + 1), q << s * k, q * q
+
+    (pa, qa, ra), (pb, qb, rb) = powers(a), powers(b)
+    one = 1 << 2 * k * s
+    n_lo, n_hi = (k - 1) * qa - k * pb + one, (k - 1) * qb - k * pa + one
+    d_lo = ra + k * qa - 3 * qb - k * pb + 2 * one
+    d_hi = rb + k * qb - 3 * qa - k * pa + 2 * one
+    ends = {
+        "phi": _referee_root([1] + [-1] * k, 1, 2),
+        "inverse_phi": (a, b),
+        "limit_value": ((n_lo << s) // d_hi, -((-n_hi << s) // d_lo)),
+    }
+    return {name: Interval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+            for name, (lo, hi) in ends.items()}
 
 
 def check_enclosure_soundness() -> CheckResult:
-    """Randomized enclosures at two precisions, against each other and against mpmath.
+    """Randomized enclosures at two precisions, against each other and against an exact referee.
 
-    A trial at ``digits`` compares both enclosures with an mpmath value
-    computed at 2*MAX_DIGITS + 10 >= 2*digits + 10 digits, which may
-    therefore sit outside an enclosure by no more than 10^-(2*digits + 5).
-    The references are computed once per k in each call, never kept
-    between calls.
+    A trial at ``digits`` requires the enclosure at 2 * digits to lie in the
+    one at digits widened by its own width on each side, and each of the two
+    to meet, with no slack, the interval of ``_references`` for the same k,
+    which holds the true value.  The references are computed once per k in
+    each call, never kept between calls.
     """
     import random
 
     trials = 100
     rng = random.Random(20240826)
-    references: dict[int, dict[str, Fraction]] = {}
+    references: dict[int, dict[str, Interval]] = {}
     for _ in range(trials):
         k = rng.randint(2, 20)
         digits = rng.randint(3, MAX_DIGITS)
@@ -369,11 +417,10 @@ def check_enclosure_soundness() -> CheckResult:
         fine = compute(k, 2 * digits)
         widened = Interval(coarse.lo - coarse.width, coarse.hi + coarse.width)
         if k not in references:
-            references[k] = _mpmath_references(k)
+            references[k] = _references(k)
         reference = references[k][compute.__name__]
-        slack = Fraction(1, 10 ** (2 * digits + 5))
         if fine not in widened or not all(
-            enc.lo - slack <= reference <= enc.hi + slack for enc in (coarse, fine)
+            enc.lo <= reference.hi and reference.lo <= enc.hi for enc in (coarse, fine)
         ):
             return _check(
                 "enclosure_soundness",

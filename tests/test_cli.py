@@ -319,8 +319,7 @@ def _int_from_digits(text: str) -> int:
 
 
 def test_import_leaves_mpmath_out():
-    # mpmath is only the checks' referee; the CLI must start without
-    # loading it.
+    # mpmath is only the tests' referee; the package never loads it.
     src = Path(numerics.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", "import sys, runwords.cli; print('mpmath' in sys.modules)"],
@@ -352,14 +351,39 @@ def test_roots_run_without_mpmath():
     assert len(done.stdout.splitlines()) == 32
 
 
-def test_verify_full_without_mpmath_is_a_one_line_internal_failure():
-    # verify full takes mpmath as its independent referee: without it the
-    # battery cannot run, which is exit 3, not a verification failure.
+def test_verify_full_runs_without_mpmath():
+    # The battery's referee is exact integers: with mpmath made
+    # unimportable, verify full passes every check.
     done = _run_without_mpmath("verify", "full")
-    assert done.returncode == 3, done.stderr
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-    assert "mpmath" in done.stderr
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "all checks passed"
+
+
+def _cli(*argv: str, stdout) -> subprocess.Popen:
+    """The CLI in a fresh interpreter, writing to stdout."""
+    src = Path(numerics.__file__).resolve().parents[1]
+    return subprocess.Popen(
+        [sys.executable, "-m", "runwords.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)}, text=True,
+    )
+
+
+def test_a_reader_that_leaves_early_is_exit_3_without_a_traceback():
+    # As `alpha-series ... | head -c 100`: the 2000 rows overflow the pipe,
+    # so the write meets the closed pipe while the CLI still writes.
+    with _cli("alpha-series", "--k", "3", "--n-max", "2000", stdout=subprocess.PIPE) as done:
+        assert done.stdout.read(100).startswith("n=    1  alpha=1/2")
+        done.stdout.close()
+        assert done.wait(timeout=60) == 3
+        assert done.stderr.read() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_a_full_stdout_is_one_error_line_and_exit_3():
+    with open("/dev/full", "w") as full:
+        with _cli("count", "--k", "2", "--n", "10", stdout=full) as done:
+            assert done.wait(timeout=60) == 3
+            assert done.stderr.read() == "error: cannot write to stdout: No space left on device\n"
 
 
 def test_popularity(capsys):

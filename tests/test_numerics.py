@@ -211,6 +211,14 @@ class TestBisectRoot:
             poly = _phi_poly(k)
             assert _exact_sign(poly, encs[k].lo) < 0 < _exact_sign(poly, encs[k].hi), k
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 40])
+    def test_phi_builds_its_polynomials_once_per_k(self, monkeypatch, k):
+        # the trinomial, its slope and both their indexes are kept from the
+        # first call, so a second one builds no polynomial at all
+        first = numerics.phi(k, 30)
+        monkeypatch.setattr(IntPoly, "__init__", None)
+        assert numerics.phi(k, 30) == first
+
     @pytest.mark.parametrize("digits", [1, 2, 5, 15, 50, 100])
     def test_phi_either_side_of_the_closed_form(self, digits):
         # k = t is the last root-finder cell and k = t + 1 the first closed

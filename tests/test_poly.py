@@ -177,6 +177,12 @@ def test_trinomial_is_x_minus_1_times_the_dense_poly(k):
     assert t.coeffs == (1,) + (0,) * (k - 1) + (-2, 1)
 
 
+def test_the_slope_is_the_derivative_kept_on_the_polynomial():
+    t = trinomial_poly(7)
+    assert t._slope == t.derivative() == IntPoly([0] * 6 + [-14, 8])
+    assert t._slope is t._slope
+
+
 def test_reciprocal_relation():
     # r is a root of the reciprocal polynomial iff 1/r is a root of g_k
     for k in (2, 3, 4):
@@ -214,7 +220,7 @@ def test_tk_numerator_is_the_schoolbook_derivative(k):
     assert tk_fraction(k)[0] == IntPoly([0, 1]) * (p.derivative() * q - p * q.derivative())
 
 
-CACHED_BUILDERS = [fibonacci_poly, words_fraction, pk_fraction, tk_fraction]
+CACHED_BUILDERS = [fibonacci_poly, trinomial_poly, words_fraction, pk_fraction, tk_fraction]
 
 
 @pytest.mark.parametrize("builder", CACHED_BUILDERS, ids=lambda f: f.__name__)
@@ -236,7 +242,13 @@ def test_the_cache_keys_float_and_bool_apart_from_int(builder):
 
 @pytest.mark.parametrize("builder", CACHED_BUILDERS, ids=lambda f: f.__name__)
 def test_the_cache_is_bounded(builder):
-    assert builder.cache_info().maxsize == CACHED_KS == 32
+    assert builder.cache_info().maxsize == CACHED_KS == 64
+
+
+@pytest.mark.parametrize("builder", CACHED_BUILDERS, ids=lambda f: f.__name__)
+def test_a_sweep_of_k_up_to_40_stays_cached(builder):
+    first = {k: builder(k) for k in range(2, 41)}
+    assert all(builder(k) is first[k] for k in range(2, 41))
 
 
 def test_tk_fraction():

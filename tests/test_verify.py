@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ def test_table1_cells_refuses_an_empty_grid():
 )
 def test_enclosure_soundness_catches_a_self_consistent_wrong_value(monkeypatch, name, wrong):
     # A point enclosure agrees with itself at every precision, so only the
-    # independent mpmath reference can tell that it is wrong.  The check
+    # independent referee can tell that it is wrong.  The check
     # sees the wrong function alone: the others keep the true values.
     def point(k, precision_digits=15):
         return Interval(wrong, wrong)
@@ -36,25 +37,38 @@ def test_enclosure_soundness_catches_a_self_consistent_wrong_value(monkeypatch, 
     assert result.detail.startswith(f"{name}(k=")
 
 
-@pytest.mark.parametrize("k", range(2, 21))
-def test_referee_is_as_precise_as_the_largest_trial_needs(k):
-    # The fixed-precision references against 200-digit roots: within the
-    # slack of a trial at MAX_DIGITS, the tightest any trial allows.
-    references = verify._mpmath_references(k)
-    with mpmath.workdps(200):
+def _mpmath_values(k, dps):
+    """phi_k, 1/phi_k and the limit's closed form in 1/phi_k, from mpmath at dps digits."""
+    with mpmath.workdps(dps):
         phi = mpmath.findroot(lambda z: z**k - sum(z**i for i in range(k)), (1, 2))
         x = 1 / phi
         limit = (k * x**k - k * x ** (k - 1) - x**k + 1) / (
             k * x**k - k * x ** (k - 1) + x ** (2 * k) - 3 * x**k + 2
         )
-    slack = Fraction(1, 10 ** (2 * verify.MAX_DIGITS + 5))
-    for name, value in (("phi", phi), ("inverse_phi", x), ("limit_value", limit)):
-        mantissa, exponent = value.man_exp
-        assert abs(references[name] - mantissa * Fraction(2) ** exponent) < slack, name
+    return {name: _exact(value) for name, value in
+            (("phi", phi), ("inverse_phi", x), ("limit_value", limit))}
+
+
+def _exact(value):
+    mantissa, exponent = value.man_exp
+    return mantissa * Fraction(2) ** exponent
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_referee_is_as_precise_as_the_largest_trial_needs(k):
+    # The exact intervals hold the 200-digit values, and are far narrower
+    # than the 10^-(2 * MAX_DIGITS + 5) that the mpmath referee allowed:
+    # the roots' are 4 2^-REFEREE_BITS wide, the limit's below 10^-70.
+    references = verify._references(k)
+    for name, value in _mpmath_values(k, 200).items():
+        assert value in references[name], name
+    unit = Fraction(1, 1 << verify.REFEREE_BITS)
+    assert references["phi"].width == references["inverse_phi"].width == 4 * unit
+    assert references["limit_value"].width < Fraction(1, 10**70)
 
 
 def _anderson_references(k):
-    """The referee as it was: findroot's Anderson solver on the whole bracket."""
+    """The mpmath referee as it was: findroot's Anderson solver on the whole bracket."""
     with mpmath.workdps(2 * verify.MAX_DIGITS + 10):
         phi = mpmath.findroot(
             lambda z: mpmath.polyval([1] + [-1] * k, z), (1, 2), solver="anderson"
@@ -70,27 +84,57 @@ def _anderson_references(k):
 
 @pytest.mark.parametrize("k", range(2, 21))
 def test_the_seeded_referee_agrees_with_anderson_on_the_bracket(k):
-    references = verify._mpmath_references(k)
+    # within the slack that the 70-digit mpmath referee was allowed
+    references = verify._references(k)
     slack = Fraction(1, 10 ** (2 * verify.MAX_DIGITS + 5))
     for name, value in _anderson_references(k).items():
-        mantissa, exponent = value.man_exp
-        assert abs(references[name] - mantissa * Fraction(2) ** exponent) < slack, name
+        reference = references[name]
+        assert reference.lo - slack < _exact(value) < reference.hi + slack, name
 
 
-def _no_root(*args, **kwargs):
-    raise ValueError("Could not find root within given tolerance.\nTry another starting point.")
+@pytest.mark.parametrize("k", [2, 3, 7, 20, 40])
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_a_certificate_end_moved_one_unit_inward_is_refused(k, end):
+    # [c, c + 1] 2^-REFEREE_BITS holds the 200-digit root, so p changes sign
+    # across it; with either end moved one unit inward the cell is [c, c]
+    # or [c + 1, c + 1], which holds no sign change and must be refused.
+    values = _mpmath_values(k, 200)
+    for name, coeffs in (("phi", [1] + [-1] * k), ("inverse_phi", [1] * k + [-1])):
+        c = math.floor(values[name] * (1 << verify.REFEREE_BITS))
+        assert verify._sign_change(coeffs, c, c + 1)
+        a, b = (c + 1, c + 1) if end == "low" else (c, c)
+        assert not verify._sign_change(coeffs, a, b)
 
 
-@pytest.mark.parametrize("findroot", [_no_root, lambda *args, **kwargs: 2.5],
+def _off_by(shift):
+    """A _float_newton whose seed is moved by shift."""
+    float_newton = verify._float_newton
+    return lambda coeffs, x: float_newton(coeffs, x) + shift
+
+
+# A seed 10^-3 high leaves four Newton steps short of 2^-REFEREE_BITS, so both
+# ends of the certificate lie above the root; a seed at -x (-2 for phi_k, -1
+# for 1/phi_k) stops outside the bracket, or inside it far from the root.
+@pytest.mark.parametrize("seed", [_off_by(1e-3), lambda coeffs, x: -x],
                          ids=["no-convergence", "outside-the-bracket"])
-def test_a_failed_referee_is_a_one_line_internal_failure(monkeypatch, capsys, findroot):
-    monkeypatch.setattr(mpmath, "findroot", findroot)
-    with pytest.raises(RuntimeError, match="mpmath referee"):
-        verify._mpmath_references(3)
+def test_a_failed_referee_is_a_one_line_internal_failure(monkeypatch, capsys, seed):
+    monkeypatch.setattr(verify, "_float_newton", seed)
+    with pytest.raises(RuntimeError, match="integer referee: no sign certificate"):
+        verify._references(3)
     assert cli.main(["verify", "full"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: mpmath referee") and err.count("\n") == 1
+    assert err.startswith("error: integer referee") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_certified_root_outside_the_bracket_is_refused(monkeypatch):
+    # 4x^2 - 9 crosses 0 upward at 3/2, a double, which is taken as the seed:
+    # its certificate holds, and is accepted in (1, 2) but not in (0, 1).
+    monkeypatch.setattr(verify, "_float_newton", lambda coeffs, x: 1.5)
+    m = 3 << verify.REFEREE_BITS - 1
+    assert verify._referee_root([4, 0, -9], 1, 2) == (m - 2, m + 2)
+    with pytest.raises(RuntimeError, match="no sign certificate"):
+        verify._referee_root([4, 0, -9], 0, 1)
 
 
 @pytest.mark.parametrize(
